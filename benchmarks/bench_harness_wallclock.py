@@ -17,13 +17,10 @@ turns the run into a gate: if a (scale, nodes, roots, workers) point in
 the existing JSON got slower by more than the given fraction, exit 1.
 
 ``--mode kernel-scaling`` sweeps the partitioned event engine instead:
-one kernel-only timing per ``engine_partitions`` x ``drain_workers``
-point (defaults: partitions 1, 2, 4; drain workers 1) at each scale,
-with a ``speedup_vs_1`` column relative to the sequential engine and,
-for partitioned points, occupancy/imbalance/fallback columns from the
-engine's ``partition_report()``. Scaling rows carry
-``mode: kernel-scaling`` so they key separately from phase rows in the
-regression gate.
+one kernel-only timing per ``engine_partitions`` point (default 1, 2, 4)
+at each scale, with a ``speedup_vs_1`` column relative to the sequential
+engine. Scaling rows carry ``mode: kernel-scaling`` so they key
+separately from phase rows in the regression gate.
 """
 
 from __future__ import annotations
@@ -135,19 +132,14 @@ def time_kernel_scaling(
     roots: int,
     partitions_list: list[int],
     seed: int = 1,
-    drain_workers_list: list[int] | None = None,
-    drain_backend: str = "thread",
 ) -> list[dict]:
-    """Sweep ``engine_partitions`` x ``drain_workers``; kernel wall-clock.
+    """Sweep ``engine_partitions``; kernel wall-clock.
 
     Validation is skipped — this mode times the PDES kernel — but parents
     are checked bit-identical across the sweep, so a scaling run doubles
     as a parity check. ``speedup_vs_1`` is relative to the sweep's
-    ``engine_partitions=1``/``drain_workers=1`` entry (or the first entry
-    if that point is absent). ``drain_workers > 1`` points are only
-    measured at ``engine_partitions >= 2`` (parallel drain needs at least
-    two compute lanes); partitioned points also record the engine's
-    occupancy/imbalance/fallback accounting from ``partition_report()``.
+    ``engine_partitions=1`` entry (or the first entry if that point is
+    absent).
     """
     import numpy as np
 
@@ -156,80 +148,51 @@ def time_kernel_scaling(
     from repro.graph.csr import CSRGraph
     from repro.graph.kronecker import KroneckerGenerator
     from repro.graph500.roots import sample_roots
-    from repro.sim.partition import PartitionedEngine
 
     edges = KroneckerGenerator(scale, 16, seed=seed).generate()
     root_list = [int(r) for r in sample_roots(edges, roots, seed=seed)]
     graph = CSRGraph.from_edges(edges)
-    drain_list = drain_workers_list or [1]
 
     entries: list[dict] = []
     baseline_kernel = None
     baseline_parents = None
     for partitions in partitions_list:
-        for drain in drain_list:
-            if drain != 1 and partitions < 2:
-                continue
-            config = BFSConfig(
-                engine_partitions=partitions,
-                drain_workers=drain,
-                drain_backend=drain_backend,
-            )
-            bfs = make_variant(
-                "relay-cpe", edges, nodes, graph=graph, config=config
-            )
-            events_before = bfs.engine.events_executed
-            kernel = 0.0
-            parents = []
-            for root in root_list:
-                t0 = time.perf_counter()
-                result = bfs.run(root)
-                kernel += time.perf_counter() - t0
-                parents.append(result.parent.copy())
-            if baseline_parents is None or (partitions == 1 and drain == 1):
-                baseline_parents = parents
-                baseline_kernel = kernel
-            else:
-                for a, b in zip(baseline_parents, parents):
-                    if not np.array_equal(a, b):
-                        raise AssertionError(
-                            f"engine_partitions={partitions}/"
-                            f"drain_workers={drain} diverged from the "
-                            f"sweep baseline at scale {scale}"
-                        )
-            entry = {
-                "mode": "kernel-scaling",
-                "scale": scale,
-                "nodes": nodes,
-                "roots": roots,
-                "workers": 1,
-                "engine_partitions": partitions,
-                "drain_workers": drain,
-                "drain_backend": drain_backend,
-                "phases": {
-                    "kernel": round(kernel, 4),
-                    "total": round(kernel, 4),
-                },
-                "events_executed": (
-                    bfs.engine.events_executed - events_before
-                ),
-                "speedup_vs_1": (
-                    round(baseline_kernel / kernel, 3) if kernel > 0 else None
-                ),
-            }
-            if isinstance(bfs.engine, PartitionedEngine):
-                report = bfs.engine.partition_report()
-                occupancy = report["occupancy"]
-                imbalance = report["imbalance"]
-                entry["parallel_windows"] = report["parallel_windows"]
-                entry["occupancy"] = (
-                    round(occupancy, 3) if occupancy is not None else None
-                )
-                entry["imbalance"] = (
-                    round(imbalance, 3) if imbalance is not None else None
-                )
-                entry["parallel_fallback"] = report["parallel_fallback"]
-            entries.append(entry)
+        config = BFSConfig(engine_partitions=partitions)
+        bfs = make_variant("relay-cpe", edges, nodes, graph=graph, config=config)
+        events_before = bfs.engine.events_executed
+        kernel = 0.0
+        parents = []
+        for root in root_list:
+            t0 = time.perf_counter()
+            result = bfs.run(root)
+            kernel += time.perf_counter() - t0
+            parents.append(result.parent.copy())
+        if baseline_parents is None or partitions == 1:
+            baseline_parents = parents
+            baseline_kernel = kernel
+        else:
+            for a, b in zip(baseline_parents, parents):
+                if not np.array_equal(a, b):
+                    raise AssertionError(
+                        f"engine_partitions={partitions} diverged from the "
+                        f"sweep baseline at scale {scale}"
+                    )
+        entries.append({
+            "mode": "kernel-scaling",
+            "scale": scale,
+            "nodes": nodes,
+            "roots": roots,
+            "workers": 1,
+            "engine_partitions": partitions,
+            "phases": {
+                "kernel": round(kernel, 4),
+                "total": round(kernel, 4),
+            },
+            "events_executed": bfs.engine.events_executed - events_before,
+            "speedup_vs_1": (
+                round(baseline_kernel / kernel, 3) if kernel > 0 else None
+            ),
+        })
     return entries
 
 
@@ -241,7 +204,6 @@ def _point_key(entry: dict) -> tuple:
         entry["roots"],
         entry["workers"],
         entry.get("engine_partitions", 1),
-        entry.get("drain_workers", 1),
     )
 
 
@@ -282,13 +244,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="repeatable; kernel-scaling sweep values "
                              "(default: 1 2 4). In phases mode the first "
                              "value configures the engine (default 1)")
-    parser.add_argument("--drain-workers", type=int, action="append",
-                        help="repeatable; kernel-scaling sweeps each value "
-                             "against each --engine-partitions >= 2 point "
-                             "(default: 1)")
-    parser.add_argument("--drain-backend", choices=("thread", "process"),
-                        default="thread",
-                        help="parallel drain backend for the sweep")
     parser.add_argument("--output", default=str(DEFAULT_OUTPUT))
     parser.add_argument("--max-regression", type=float, default=None,
                         help="fail if a matching point's total slowed by more "
@@ -312,22 +267,13 @@ def main(argv: list[str] | None = None) -> int:
             sweep = time_kernel_scaling(
                 scale, args.nodes, args.roots, partitions_list,
                 seed=args.seed,
-                drain_workers_list=args.drain_workers,
-                drain_backend=args.drain_backend,
             )
             results.extend(sweep)
             for entry in sweep:
-                extra = ""
-                if entry.get("occupancy") is not None:
-                    extra = (f" occupancy={entry['occupancy']}"
-                             f" imbalance={entry['imbalance']}")
-                if entry.get("parallel_fallback"):
-                    extra += f" fallback={entry['parallel_fallback']!r}"
                 print(f"scale {scale} nodes {args.nodes} roots {args.roots} "
-                      f"partitions {entry['engine_partitions']} "
-                      f"drain {entry['drain_workers']}: "
+                      f"partitions {entry['engine_partitions']}: "
                       f"kernel={entry['phases']['kernel']:.3f}s "
-                      f"speedup_vs_1={entry['speedup_vs_1']}{extra}")
+                      f"speedup_vs_1={entry['speedup_vs_1']}")
             continue
         entry = time_phases(
             scale, args.nodes, args.roots, workers=args.workers,
@@ -419,29 +365,6 @@ def test_kernel_scaling_smoke(save_report):
     assert len(keys) == 3
     save_report(
         "harness_kernel_scaling_smoke",
-        json.dumps(sweep, indent=2),
-    )
-
-
-def test_kernel_scaling_drain_sweep(save_report):
-    """Pytest smoke: the drain-worker sweep stays bit-identical and keys
-    distinctly from serial-drain rows; partitioned rows carry the
-    occupancy accounting."""
-    sweep = time_kernel_scaling(
-        scale=8, nodes=4, roots=2, partitions_list=[1, 2],
-        drain_workers_list=[1, 2],
-    )
-    # drain_workers=2 is skipped at partitions=1 (needs two lanes).
-    assert [
-        (e["engine_partitions"], e["drain_workers"]) for e in sweep
-    ] == [(1, 1), (2, 1), (2, 2)]
-    assert len({_point_key(e) for e in sweep}) == 3
-    for entry in sweep:
-        if entry["engine_partitions"] > 1:
-            assert "parallel_fallback" in entry
-            assert "occupancy" in entry and "imbalance" in entry
-    save_report(
-        "harness_kernel_scaling_drain_sweep",
         json.dumps(sweep, indent=2),
     )
 

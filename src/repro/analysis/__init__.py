@@ -1,12 +1,9 @@
-"""Interprocedural parallel-safety and lock-discipline analysis.
+"""Interprocedural lock-discipline and effect analysis.
 
 Where :mod:`repro.sanitizers` lints one file at a time, this package
-builds a whole-program call graph over the scanned tree and runs three
+builds a whole-program call graph over the scanned tree and runs two
 interprocedural passes on it:
 
-- **drain reachability** (REP201): shared-state mutations reachable from
-  the engine's registered delivery/injection routes that do not go
-  through a journal-aware sink — the cross-module upgrade of REP107;
 - **lock order** (REP202/REP203): cycles in the inferred
   lock-acquisition graph, and blocking operations performed while a
   catalog/cache fast lock is held;

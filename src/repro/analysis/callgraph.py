@@ -17,14 +17,12 @@ One parse per file, two derived structures:
 
 The builder also records the **dynamic route tables** of the partitioned
 engine: every argument of a ``register_delivery(...)`` /
-``register_injection(...)`` call is resolved and returned as a drain
-root — the entry points whose events execute on parallel drain workers
-(:mod:`repro.sim.partition`). ``register_drain_target`` names state for
-the process codec and introduces no edges.
+``register_injection(...)`` call is resolved and returned as a route
+root — the entry points whose events the engine dispatches onto its
+compute and fabric lanes (:mod:`repro.sim.partition`).
 
 Known limitation (documented in docs/static-analysis.md): calls through
-containers (``self._handlers[dst](msg)``) are invisible to the AST; the
-syntactic REP107 lint still covers those callback bodies file-locally.
+containers (``self._handlers[dst](msg)``) are invisible to the AST.
 """
 
 from __future__ import annotations
@@ -36,12 +34,8 @@ from dataclasses import dataclass, field
 from repro.analysis.effects import parse_effect_comment
 from repro.sanitizers.determinism import iter_python_files
 
-#: Engine methods whose call arguments are drain-context entry points.
+#: Engine methods whose call arguments are lane-routed entry points.
 ROUTE_REGISTRARS = frozenset({"register_delivery", "register_injection"})
-
-#: A function that calls this pins the engine to serial drains; routes it
-#: registers never run on parallel workers, so they are not drain roots.
-PARALLEL_UNSAFE_MARKER = "mark_parallel_unsafe"
 
 #: Ubiquitous builtin container/str method names, excluded from the
 #: name-based fallback: an unresolvable ``self._entries.get(...)`` is a
@@ -123,7 +117,7 @@ class CallGraph:
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
     #: Caller qualname -> sorted callee qualnames.
     edges: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: Drain roots: qualnames registered through the engine route tables.
+    #: Route roots: qualnames registered through the engine route tables.
     roots: tuple[str, ...] = ()
     #: Method/function name -> sorted qualnames (name-based fallback).
     by_name: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -378,7 +372,7 @@ def _resolve_route_arg(
 
 def build_callgraph(paths: list[str]) -> CallGraph:
     """Parse every ``.py`` under ``paths`` and build the program index,
-    call edges, and drain roots."""
+    call edges, and route roots."""
     graph = CallGraph()
     for path in iter_python_files(paths):
         with open(path, encoding="utf-8") as fh:
@@ -401,8 +395,6 @@ def build_callgraph(paths: list[str]) -> CallGraph:
             q for q in graph.functions
             if q.startswith(prefix) and "." not in q[len(prefix):]
         )
-        own_roots: set[str] = set()
-        marks_unsafe = False
         for node in _iter_own_statements(info.node):
             if not isinstance(node, ast.Call):
                 continue
@@ -412,16 +404,8 @@ def build_callgraph(paths: list[str]) -> CallGraph:
                 else func.id if isinstance(func, ast.Name) else None
             )
             if reg in ROUTE_REGISTRARS and node.args:
-                own_roots.update(
-                    _resolve_route_arg(graph, mod, info, node.args[0])
-                )
-            elif reg == PARALLEL_UNSAFE_MARKER:
-                marks_unsafe = True
+                roots.update(_resolve_route_arg(graph, mod, info, node.args[0]))
             callees.update(_resolve_call(graph, mod, info, node))
-        if not marks_unsafe:
-            # A registrar that also pins the engine serial (the reliable
-            # transport) never sees its routes on parallel workers.
-            roots.update(own_roots)
         callees.discard(qual)
         graph.edges[qual] = tuple(sorted(callees))
     graph.roots = tuple(sorted(roots))

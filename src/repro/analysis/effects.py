@@ -1,15 +1,11 @@
 """Effect annotations for the interprocedural analyzer.
 
-Functions on the parallel-drain or service hot paths can declare their
+Functions on the simulator or service hot paths can declare their
 concurrency contract, and ``repro analyze`` validates the declaration
 against what the AST actually shows (rule REP204):
 
 - ``pure`` — no attribute stores, no lock acquisitions, no blocking
   operations in the body;
-- ``journaled`` — the function routes shared-state mutation through the
-  drain journal (it references ``journal`` / ``_DRAIN_SINK`` or one of
-  the journal op methods). The drain-reachability pass treats a
-  ``journaled`` function as a safe sink and does not traverse into it;
 - ``locked:<Class>.<attr>`` — the body acquires the named lock
   (``with self.<attr>:``), e.g. ``locked:ResultCache._lock``.
 
@@ -17,7 +13,7 @@ Two spellings, for two layering situations:
 
 - the :func:`effects` decorator, importable from anywhere that may
   depend on ``repro.analysis`` (the service layer uses it);
-- a ``# repro: effect=journaled`` comment on the ``def`` line, for
+- a ``# repro: effect=pure`` comment on the ``def`` line, for
   modules below the analyzer in the import graph (``repro.telemetry``,
   ``repro.sim``) where importing the decorator would invert layering.
 
@@ -37,11 +33,11 @@ from typing import Callable, TypeVar
 EFFECTS_ATTR = "__repro_effects__"
 
 #: Valid bare effect names; ``locked:<name>`` is validated by pattern.
-BARE_EFFECTS = frozenset({"pure", "journaled"})
+BARE_EFFECTS = frozenset({"pure"})
 
 _LOCKED_RE = re.compile(r"^locked:(?P<lock>[A-Za-z_][\w.]*)$")
 
-#: ``# repro: effect=journaled`` / ``# repro: effect=locked:Foo._lock``
+#: ``# repro: effect=pure`` / ``# repro: effect=locked:Foo._lock``
 #: (comma-separated list allowed) on a ``def`` line.
 EFFECT_COMMENT_RE = re.compile(
     r"#\s*repro:\s*effect=(?P<specs>[\w.:,\s-]+)", re.IGNORECASE
@@ -67,8 +63,8 @@ def effects(*specs: str) -> Callable[[F], F]:
     for spec in specs:
         if not is_valid_effect(spec):
             raise ValueError(
-                f"unknown effect {spec!r}; expected 'pure', 'journaled', "
-                "or 'locked:<Class>.<attr>'"
+                f"unknown effect {spec!r}; expected 'pure' or "
+                "'locked:<Class>.<attr>'"
             )
 
     def mark(fn: F) -> F:

@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, build_callgraph
-from repro.analysis.drain import body_mentions_journal, find_drain_violations
 from repro.analysis.effects import is_valid_effect, locked_target
 from repro.analysis.lockorder import (
     BlockingSite,
@@ -29,7 +28,6 @@ from repro.analysis.lockorder import (
     _LockAnalysis,
     analyze_locks,
 )
-from repro.sanitizers.determinism import _dotted_name
 from repro.sanitizers.rules import Rule, parse_noqa
 from repro.sanitizers.sarif import sarif_document
 
@@ -41,15 +39,6 @@ ANALYSIS_RULES: dict[str, Rule] = {
             "REP200",
             "analysis-parse-error",
             "file does not parse; the analyzer cannot vouch for it",
-            "repro",
-        ),
-        Rule(
-            "REP201",
-            "drain-unjournaled-mutation",
-            "shared engine/cluster-handle store inside a function reachable "
-            "from a registered drain route (delivery/injection); under "
-            "parallel drain the store races across lanes unless it goes "
-            "through the journal API — the interprocedural upgrade of REP107",
             "repro",
         ),
         Rule(
@@ -73,9 +62,9 @@ ANALYSIS_RULES: dict[str, Rule] = {
             "REP204",
             "effect-annotation-mismatch",
             "an @effects(...) / '# repro: effect=' declaration the AST "
-            "contradicts (a 'pure' function that stores or blocks, a "
-            "'journaled' function that never touches the journal, a "
-            "'locked:<name>' function that does not acquire the named lock)",
+            "contradicts (a 'pure' function that stores, locks or blocks, "
+            "a 'locked:<name>' function that does not acquire the named "
+            "lock)",
             "repro",
         ),
     )
@@ -95,7 +84,6 @@ class AnalysisFinding:
     #: Stable discriminator (no line numbers): what the finding is about,
     #: not where it currently sits.
     detail: str
-    chain: tuple[str, ...] = ()
 
     @property
     def fid(self) -> str:
@@ -106,13 +94,10 @@ class AnalysisFinding:
 
     def render(self) -> str:
         loc = f"{self.path}:{self.line}:{self.col}"
-        head = f"{loc}: {self.rule} [{self.fid}] {self.message}"
-        if self.chain:
-            head += f"\n    via {' -> '.join(self.chain)}"
-        return head
+        return f"{loc}: {self.rule} [{self.fid}] {self.message}"
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "id": self.fid,
             "rule": self.rule,
             "name": ANALYSIS_RULES[self.rule].name
@@ -125,9 +110,6 @@ class AnalysisFinding:
             "message": self.message,
             "detail": self.detail,
         }
-        if self.chain:
-            out["chain"] = list(self.chain)
-        return out
 
 
 @dataclass
@@ -159,7 +141,7 @@ class AnalysisReport:
         lines.append(
             f"{len(self.findings)} finding(s) in {self.checked_files} "
             f"file(s), {self.functions} function(s) indexed, "
-            f"{len(self.roots)} drain root(s), "
+            f"{len(self.roots)} route root(s), "
             f"{len(self.lock_edges)} lock edge(s) "
             f"({len(self.baselined)} baselined, {self.suppressed} suppressed)"
         )
@@ -176,7 +158,7 @@ class AnalysisReport:
                 "ok": self.ok,
                 "checked_files": self.checked_files,
                 "functions": self.functions,
-                "drain_roots": list(self.roots),
+                "route_roots": list(self.roots),
                 "lock_edges": [
                     {
                         "held": e.held,
@@ -307,16 +289,6 @@ def _effect_findings(graph: CallGraph) -> list[AnalysisFinding]:
                             f"declared pure but {reason}", "pure",
                         )
                     )
-            elif spec == "journaled":
-                if not body_mentions_journal(info):
-                    out.append(
-                        AnalysisFinding(
-                            "REP204", info.display, info.lineno, 1, qual,
-                            "declared journaled but never references the "
-                            "drain journal machinery",
-                            "journaled",
-                        )
-                    )
             else:
                 lock = locked_target(spec)
                 if lock is not None and not _acquires_named_lock(
@@ -393,25 +365,7 @@ def analyze_paths(
             )
         )
 
-    # Pass 1: drain-context reachability (REP201).
-    for info, leaf, handle, chain in find_drain_violations(graph):
-        target = _dotted_name(leaf) or handle
-        findings.append(
-            AnalysisFinding(
-                "REP201",
-                info.display,
-                getattr(leaf, "lineno", info.lineno),
-                getattr(leaf, "col_offset", 0) + 1,
-                info.qualname,
-                f"store through shared .{handle} handle in drain-reachable "
-                f"function (reached from {chain[0]}); route it through the "
-                "drain journal API",
-                f"{handle}:{target}",
-                chain=chain,
-            )
-        )
-
-    # Pass 2: lock order + blocking-under-lock (REP202/REP203).
+    # Pass 1: lock order + blocking-under-lock (REP202/REP203).
     lock_edges, cycles, blocking = analyze_locks(graph)
     for cycle_locks, cycle_edges in cycles:
         first = cycle_edges[0]
@@ -439,7 +393,7 @@ def analyze_paths(
             )
         )
 
-    # Pass 3: effect-annotation validation (REP204).
+    # Pass 2: effect-annotation validation (REP204).
     findings.extend(_effect_findings(graph))
 
     # Per-line noqa suppressions, shared with the lint.

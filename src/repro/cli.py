@@ -90,16 +90,12 @@ def _build_resilience(args: argparse.Namespace):
 
 def _render_partition_report(report: dict) -> str:
     """Render :meth:`PartitionedEngine.partition_report` for the terminal:
-    per-lane loads, drain-run histogram, window occupancy, channel slack."""
+    per-lane loads, drain-run histogram, channel slack."""
     lines = []
     parts = report["partitions"]
     bounds = report["bounds"]
     aligned = "SN-aligned" if report["aligned"] else "unaligned"
-    lines.append(
-        f"partition report: {parts} compute lanes ({aligned}), "
-        f"drain_workers={report['drain_workers']} "
-        f"backend={report['drain_backend']}"
-    )
+    lines.append(f"partition report: {parts} compute lanes ({aligned})")
 
     lane = Table(["lane", "nodes", "events"], title="per-lane loads")
     compute = report["lane_events"]["compute"]
@@ -114,19 +110,6 @@ def _render_partition_report(report: dict) -> str:
     for label, count in report["drain_run_hist"].items():
         hist.add_row([label, f"{count:,}"])
     lines.append(hist.render())
-
-    occupancy = report["occupancy"]
-    imbalance = report["imbalance"]
-    lines.append(
-        f"parallel windows: {report['parallel_windows']:,} "
-        f"({report['parallel_window_events']:,} events, "
-        f"{report['merge_live_events']:,} merged live); "
-        f"occupancy {'-' if occupancy is None else f'{occupancy:.2f}'}; "
-        f"imbalance {'-' if imbalance is None else f'{imbalance:.2f}'}"
-    )
-    fallback = report["parallel_fallback"]
-    if fallback:
-        lines.append(f"parallel fallback: {fallback}")
 
     channels = Table(
         ["src", "dst", "derived lookahead", "pushes", "observed min slack"],
@@ -162,8 +145,6 @@ def _cmd_graph500(args: argparse.Namespace) -> int:
         on_root_failure=args.on_root_failure,
         workers=args.workers,
         engine_partitions=args.engine_partitions,
-        drain_workers=args.drain_workers,
-        drain_backend=args.drain_backend,
         sanitize=args.sanitize,
     )
     report = runner.run(num_roots=args.roots)
@@ -293,7 +274,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Interprocedural analysis: drain safety, lock order, effects."""
+    """Interprocedural analysis: lock order, blocking under lock, effects."""
     import pathlib
 
     from repro.analysis import (
@@ -367,7 +348,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     from repro.sanitizers import check_determinism
 
     partitions = [int(p) for p in str(args.engine_partitions).split(",") if p]
-    drain = [int(w) for w in str(args.drain_workers).split(",") if w]
     result = check_determinism(
         scale=args.scale,
         nodes=args.nodes,
@@ -378,7 +358,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         runs=args.runs,
         validate=not args.no_validate,
         engine_partitions=partitions if len(partitions) > 1 else partitions[0],
-        drain_workers=drain if len(drain) > 1 else drain[0],
     )
     print(result.render())
     return 0 if result.ok else 1
@@ -706,18 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="conservative-sync PDES partitions for the event "
                         "engine (1 = sequential loop; results are "
                         "bit-identical either way)")
-    p.add_argument("--drain-workers", type=int, default=1,
-                   help="worker pool size for parallel drain of compute "
-                        "lanes between sync points (1 = serial; needs "
-                        "--engine-partitions >= 2; bit-identical results)")
-    p.add_argument("--drain-backend", choices=["thread", "process"],
-                   default="thread",
-                   help="parallel drain backend: thread pool (GIL-bound) "
-                        "or forked processes attaching the shared CSR")
     p.add_argument("--partition-report", action="store_true",
                    help="print PDES accounting after the run: per-lane "
-                        "loads, drain-run histogram, window occupancy, "
-                        "observed vs derived channel slack")
+                        "loads, drain-run histogram, observed vs derived "
+                        "channel slack")
     fault = p.add_argument_group("fault injection (seeded, replayable)")
     fault.add_argument("--drop-rate", type=float, default=0.0,
                        help="probability a message is dropped on the wire")
@@ -796,9 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="interprocedural analysis: drain-context reachability, "
-             "lock order, blocking-under-lock, effect annotations "
-             "(rule ids REP200-REP204)",
+        help="interprocedural analysis: lock order, blocking-under-lock, "
+             "effect annotations (rule ids REP200-REP204)",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to analyze (default: the "
@@ -846,11 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PDES partition count, or a comma list cycled "
                         "across runs (e.g. '1,2' proves the partitioned "
                         "engine digest-identical to the sequential one)")
-    p.add_argument("--drain-workers", default="1",
-                   help="parallel drain worker count, or a comma list "
-                        "cycled across runs (e.g. '1,2' proves the "
-                        "parallel drain digest-identical to the serial "
-                        "one; needs --engine-partitions >= 2)")
     p.set_defaults(func=_cmd_sanitize)
 
     p = sub.add_parser(

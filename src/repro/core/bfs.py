@@ -176,11 +176,7 @@ class DistributedBFS:
         # engine (repro.sim.partition) — bit-identical to the sequential
         # loop, which stays the executable specification at the default.
         if self.config.engine_partitions > 1:
-            self.engine = PartitionedEngine(
-                self.config.engine_partitions,
-                drain_workers=self.config.drain_workers,
-                drain_backend=self.config.drain_backend,
-            )
+            self.engine = PartitionedEngine(self.config.engine_partitions)
         else:
             self.engine = Engine()
         self.cluster = SimCluster(
@@ -192,16 +188,6 @@ class DistributedBFS:
         )
         if isinstance(self.engine, PartitionedEngine):
             self.engine.attach_cluster(self.cluster)
-            # Parallel drain workers fold this driver's shared scalars
-            # (``_t_max``, ``_records_sent``) through the journal; the
-            # process backend additionally needs the driver registered by
-            # name to ship journals and per-lane node state symbolically.
-            self.engine.register_drain_target("bfs", self)
-            # Setup-time codec registration, not a callback-time mutation.
-            self.engine.drain_state_codec = (  # repro: noqa[REP107]
-                self._collect_drain_state,
-                self._apply_drain_state,
-            )
         self.machines = [SunwayNode(i, spec) for i in range(nodes)]
         self.states: list[NodeState] = []
         for i in range(nodes):
@@ -271,12 +257,6 @@ class DistributedBFS:
                 # The reliable transport interposes on cluster delivery, so
                 # its deliver hook is a routed entry point too.
                 self.engine.register_delivery(ReliableChannel._deliver)
-                # Its retransmit ledger and ack timers are shared state
-                # mutated from delivery callbacks outside the journal API,
-                # and timer events ride the control lane inside windows.
-                self.engine.mark_parallel_unsafe(
-                    "reliable transport shares retransmit state across lanes"
-                )
         #: Buddy or erasure-coded store per ``resilience.checkpoint_mode``
         #: (built eagerly so an infeasible RS placement fails construction).
         self.checkpoints: CheckpointStore | ShardedCheckpointStore | None = (
@@ -339,69 +319,9 @@ class DistributedBFS:
         return ship + build
 
     # ------------------------------------------------------------- time marks --
-    def _mark(self, t: float) -> None:  # repro: effect=journaled
+    def _mark(self, t: float) -> None:
         if t > self._t_max:
-            journal = self.engine.journal
-            if journal is None:
-                self._t_max = t
-            else:
-                # Parallel drain worker: fold the running maximum through
-                # the journal (commutative, applied at the sync point).
-                # ``_t_max`` itself is frozen during a window, so the
-                # guard above reads a stable pre-window value.
-                journal.fold_max(self, "_t_max", t)
-
-    def _count_records(self, count: int) -> None:  # repro: effect=journaled
-        journal = self.engine.journal
-        if journal is None:
-            self._records_sent += count
-        else:
-            journal.fold_add(self, "_records_sent", count)
-
-    # ------------------------------------------------- parallel drain state --
-    def _collect_drain_state(self, lo: int, hi: int) -> list:
-        """Everything a compute event may mutate on nodes ``[lo, hi)``:
-        BFS adoption arrays and pipeline server clocks. Shipped home from
-        a forked drain worker (the pure time-cache memos are dropped —
-        they recompute)."""
-        out = []
-        for node in range(lo, hi):
-            state = self.states[node]
-            servers = self._node_servers(state)
-            out.append((
-                node,
-                state.parent.copy(),
-                state.next_mask.copy(),
-                [
-                    (
-                        srv.free_at,
-                        srv.busy_time,
-                        srv.jobs,
-                        None if srv.intervals is None else list(srv.intervals),
-                    )
-                    for srv in servers
-                ],
-            ))
-        return out
-
-    def _apply_drain_state(self, blob: list) -> None:
-        for node, parent, next_mask, server_rows in blob:
-            state = self.states[node]
-            state.parent[:] = parent
-            state.next_mask[:] = next_mask
-            for srv, (free_at, busy_time, jobs, intervals) in zip(
-                self._node_servers(state), server_rows
-            ):
-                srv.free_at = free_at
-                srv.busy_time = busy_time
-                srv.jobs = jobs
-                if intervals is not None:
-                    srv.intervals = intervals
-
-    @staticmethod
-    def _node_servers(state: NodeState) -> list:
-        pl = state.pipeline
-        return [pl.mpe_send, pl.mpe_recv, *pl.mpe_aux, *pl.clusters]
+            self._t_max = t
 
     # ----------------------------------------------------------- diagnostics --
     def utilization(self) -> dict[str, float]:
@@ -457,11 +377,7 @@ class DistributedBFS:
     def _on_message(self, state: NodeState, msg: Message) -> None:
         ready = state.pipeline.submit_recv(msg.arrival_time)
         if ready > self._t_max:  # _mark, inlined on the per-message path
-            journal = self.engine.journal
-            if journal is None:
-                self._t_max = ready
-            else:
-                journal.fold_max(self, "_t_max", ready)
+            self._t_max = ready
         if msg.tag == "eol":
             return
         u, v = msg.payload
@@ -597,7 +513,7 @@ class DistributedBFS:
                 [(u[a:b], v[a:b]) for a, b in zip(starts_l, stops_l)],
                 send_ats,
             )
-            self._count_records(len(first_hops))
+            self._records_sent += len(first_hops)
             tel = self.telemetry
             if tel is not None:
                 tel.spans.record(
@@ -620,7 +536,7 @@ class DistributedBFS:
                 state.node_id, dest, tag, nbytes,
                 payload=(u[a:b], v[a:b]), at_time=send_at,
             )
-            self._count_records(count)
+            self._records_sent += count
         tel = self.telemetry
         if tel is not None:
             # Same window the batched branch records: first ready fraction

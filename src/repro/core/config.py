@@ -152,20 +152,6 @@ class BFSConfig:
     #: specification the partitioned engine is pinned bit-identical to
     #: (``tests/test_message_path_parity.py``).
     engine_partitions: int = 1
-    #: Worker pool size for parallel drain execution on the partitioned
-    #: engine: between synchronisation points each compute lane's bounded
-    #: drain run is dispatched to a worker and its event effects are
-    #: journaled, then merged in exact global ``(when, seq)`` order at the
-    #: sync point — results stay bit-identical to the sequential engine.
-    #: 1 keeps the coordinator-only drain loop; ignored when
-    #: ``engine_partitions == 1``.
-    drain_workers: int = 1
-    #: Parallel drain backend: ``"thread"`` (shared-memory pool, subject
-    #: to the GIL except in numpy kernels) or ``"process"`` (fork per
-    #: window; compute lanes escape the GIL and read the CSR through the
-    #: shared :mod:`repro.graph.shm` segment, at a per-window fork and
-    #: journal-shipping cost).
-    drain_backend: str = "thread"
 
     # -- safety valves ---------------------------------------------------------------
     max_levels: int = 10_000
@@ -203,15 +189,6 @@ class BFSConfig:
         if self.engine_partitions < 1:
             raise ConfigError(
                 f"engine partitions must be >= 1, got {self.engine_partitions}"
-            )
-        if self.drain_workers < 1:
-            raise ConfigError(
-                f"drain workers must be >= 1, got {self.drain_workers}"
-            )
-        if self.drain_backend not in ("thread", "process"):
-            raise ConfigError(
-                f"drain backend must be 'thread' or 'process', "
-                f"got {self.drain_backend!r}"
             )
 
     # -- derived -----------------------------------------------------------------

@@ -68,8 +68,6 @@ class Graph500Runner:
         on_root_failure: str = "abort",
         workers: int = 1,
         engine_partitions: int = 1,
-        drain_workers: int = 1,
-        drain_backend: str = "thread",
         telemetry=None,
         sanitize: bool = False,
     ):
@@ -110,18 +108,6 @@ class Graph500Runner:
         #: engine (``BFSConfig.engine_partitions``); 1 keeps the sequential
         #: engine. Results are pinned bit-identical either way.
         self.engine_partitions = engine_partitions
-        if drain_workers < 1:
-            raise ConfigError(f"drain workers must be >= 1, got {drain_workers}")
-        if drain_backend not in ("thread", "process"):
-            raise ConfigError(
-                f"drain backend must be 'thread' or 'process', "
-                f"got {drain_backend!r}"
-            )
-        #: Parallel drain pool size for the partitioned engine
-        #: (``BFSConfig.drain_workers``); 1 keeps coordinator-only drains.
-        #: Bit-identical at any value.
-        self.drain_workers = drain_workers
-        self.drain_backend = drain_backend
         #: The last run's :meth:`PartitionedEngine.partition_report`
         #: (None when the run used the sequential engine or forked root
         #: workers, whose kernels die with the children).
@@ -201,14 +187,9 @@ class Graph500Runner:
             graph = CSRGraph.from_edges(edges)
         workers = self._effective_workers(num_roots)
         shared = None
-        if workers > 1 or (
-            self.engine_partitions > 1
-            and self.drain_workers > 1
-            and self.drain_backend == "process"
-        ):
+        if workers > 1:
             # Rehost the read-only CSR into one shared-memory segment so
-            # worker processes — forked per-root workers or per-window
-            # drain workers — map the edge arrays zero-copy instead of
+            # worker processes map the edge arrays zero-copy instead of
             # duplicating them (and so sharing survives non-fork start
             # methods, unlike copy-on-write inheritance).
             from repro.graph.shm import SharedCSR, shared_memory_available
@@ -227,16 +208,13 @@ class Graph500Runner:
 
     def _run_steps(self, edges, roots, graph, workers) -> BenchmarkReport:
         config = self.config
-        if self.engine_partitions != 1 or self.drain_workers != 1:
+        if self.engine_partitions != 1:
             from dataclasses import replace
 
             from repro.core.config import BFSConfig
 
             config = replace(
-                config or BFSConfig(),
-                engine_partitions=self.engine_partitions,
-                drain_workers=self.drain_workers,
-                drain_backend=self.drain_backend,
+                config or BFSConfig(), engine_partitions=self.engine_partitions
             )
         from repro.baselines import make_variant  # late: heavy import chain
 

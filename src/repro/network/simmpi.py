@@ -155,20 +155,8 @@ class SimCluster:
         if at_time is not None and at_time < self.engine.now:
             raise SimulationError("cannot send in the past")
         if self.track_connections:
-            journal = self.engine.journal
-            if journal is None:
-                self.connections[src].ensure(dst)
-                self.connections[dst].ensure(src)
-            else:
-                # Parallel drain worker: connection tables are shared
-                # across lanes and ensure() budget-checks, so the op is
-                # journaled and replayed (idempotently) at the sync point
-                # in exact global order — a budget exhaustion raises at
-                # the same event it would have sequentially.
-                if dst not in self.connections[src].peers:
-                    journal.ensure(self.connections[src], dst)
-                if src not in self.connections[dst].peers:
-                    journal.ensure(self.connections[dst], src)
+            self.connections[src].ensure(dst)
+            self.connections[dst].ensure(src)
         msg = Message(src, dst, tag, nbytes, payload, now, -1.0)
         self._stat_messages.add()
         self._stat_bytes.add(nbytes)
@@ -256,25 +244,14 @@ class SimCluster:
             my_table = self.connections[src]
             my_peers = my_table.peers
             connections = self.connections
-            journal = self.engine.journal
-            if journal is None:
-                for d in dests_l:
-                    # Steady state is two set-membership hits; ensure()
-                    # only runs (and budget-checks) the first time a pair
-                    # appears.
-                    if d not in my_peers:
-                        my_table.ensure(d)
-                    other = connections[d]
-                    if src not in other.peers:
-                        other.ensure(src)
-            else:
-                # See send(): journaled, replayed idempotently at merge.
-                for d in dests_l:
-                    if d not in my_peers:
-                        journal.ensure(my_table, d)
-                    other = connections[d]
-                    if src not in other.peers:
-                        journal.ensure(other, src)
+            for d in dests_l:
+                # Steady state is two set-membership hits; ensure() only
+                # runs (and budget-checks) the first time a pair appears.
+                if d not in my_peers:
+                    my_table.ensure(d)
+                other = connections[d]
+                if src not in other.peers:
+                    other.ensure(src)
         self._stat_messages.add(n)
         self._stat_bytes.add(sum(nbytes_l))
         tel = self.telemetry

@@ -6,9 +6,9 @@ turned into machine-checked properties:
 - :mod:`~repro.sanitizers.determinism` — AST lint (``repro lint``) over
   the simulator sources: wall-clock reads, global RNG, hash-order
   iteration, unsorted set unions, slot-less hot dataclasses, PDES
-  channel bypasses, journal-bypassing shared-state mutation,
-  service-layer kernel-construction bypasses, bare lock acquires
-  (rule ids REP101-REP109, ``# repro: noqa[RULE]`` suppressions);
+  channel bypasses, service-layer kernel-construction bypasses, bare
+  lock acquires (rule ids REP101-REP109, ``# repro: noqa[RULE]``
+  suppressions);
 - :mod:`~repro.sanitizers.mesh_prover` — static prover for the Section
   4.3 register-mesh shuffle: role partition, row-then-column direction
   discipline, channel-dependency acyclicity, per-phase port exclusivity

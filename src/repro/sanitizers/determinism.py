@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro.sanitizers.rules import (
     RULES,
@@ -78,12 +78,6 @@ _KERNEL_CONSTRUCTORS = frozenset(
         "DistributedKCore",
     }
 )
-#: Handle names that reach state shared across compute lanes. A store
-#: through one of them (``x.engine.attr = ...``) mutates engine/cluster
-#: state that parallel drain workers would race on; such mutations must
-#: go through the drain journal (fold_max/fold_add, journal-aware
-#: metrics) or the engine's scheduling API instead.
-_SHARED_HANDLES = frozenset({"engine", "cluster"})
 
 
 def _dotted_name(node: ast.AST) -> str | None:
@@ -95,37 +89,6 @@ def _dotted_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def _flatten_store_targets(target: ast.AST) -> Iterator[ast.AST]:
-    """Leaf store targets of an assignment (unpacks tuple/list targets)."""
-    if isinstance(target, (ast.Tuple, ast.List)):
-        for elt in target.elts:
-            yield from _flatten_store_targets(elt)
-    else:
-        yield target
-
-
-def _store_shared_handle(target: ast.AST) -> str | None:
-    """The ``engine``/``cluster`` handle a store target routes through.
-
-    ``self.engine.attr = ...`` and ``cluster.attr[i] += ...`` both route a
-    mutation through a shared handle; ``engine = ...`` (rebinding the name
-    itself) and ``self.attr = ...`` do not.
-    """
-    node = target
-    while isinstance(node, (ast.Subscript, ast.Starred)):
-        node = node.value
-    if not isinstance(node, ast.Attribute):
-        return None
-    node = node.value
-    while isinstance(node, ast.Attribute):
-        if node.attr in _SHARED_HANDLES:
-            return node.attr
-        node = node.value
-    if isinstance(node, ast.Name) and node.id in _SHARED_HANDLES:
-        return node.id
     return None
 
 
@@ -314,37 +277,6 @@ class _LintVisitor(ast.NodeVisitor):
                 "(call_at/schedule_batch/cancel/register_*), not shared "
                 "mutable lane state",
             )
-        self.generic_visit(node)
-
-    # -- journal-bypass mutation (REP107) ---------------------------------------
-    def _check_shared_store(
-        self, node: ast.AST, targets: Iterable[ast.AST]
-    ) -> None:
-        for target in targets:
-            for leaf in _flatten_store_targets(target):
-                handle = _store_shared_handle(leaf)
-                if handle is not None:
-                    self._emit(
-                        "REP107",
-                        leaf,
-                        f"store through shared .{handle} handle: under "
-                        "parallel drain compute-lane callbacks race on "
-                        "engine/cluster state; mutate it via the drain "
-                        "journal (engine.journal fold_max/fold_add, "
-                        "journal-aware metrics) or the engine API",
-                    )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self._check_shared_store(node, node.targets)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_shared_store(node, (node.target,))
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._check_shared_store(node, (node.target,))
         self.generic_visit(node)
 
     # -- hot dataclasses (REP105) -----------------------------------------------

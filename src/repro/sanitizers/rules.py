@@ -33,10 +33,6 @@ SIM_CORE_PACKAGES = ("core", "sim", "machine", "network")
 RULE_EXEMPT_FILES = {
     "REP102": ("repro/sim/rng.py",),
     "REP106": ("repro/sim/partition.py",),
-    # partition.py owns the journal-merge replay (it IS the journal API);
-    # faults.py installs transport interposers by design, and the parallel
-    # drain scheduler detects interposers and falls back to serial.
-    "REP107": ("repro/sim/partition.py", "repro/sim/faults.py"),
     # The catalog is the service's one sanctioned kernel-construction
     # site: entries own their kernels and the execute dispatch.
     "REP108": ("repro/service/catalog.py",),
@@ -105,17 +101,6 @@ RULES: dict[str, Rule] = {
             "(_lanes/_entries/_drain_bound/_node_partition) outside "
             "repro.sim.partition; cross-partition events must flow through "
             "the engine's scheduling/channel API, not shared mutable lanes",
-            "sim-core",
-        ),
-        Rule(
-            "REP107",
-            "journal-bypass-mutation",
-            "attribute store through a shared engine/cluster handle "
-            "(x.engine.attr = / x.cluster.attr += ...); compute-lane "
-            "callbacks race under parallel drain unless shared-state "
-            "mutation goes through the drain journal API (engine.journal "
-            "fold_max/fold_add, journal-aware metrics) or the engine's "
-            "scheduling API",
             "sim-core",
         ),
         Rule(

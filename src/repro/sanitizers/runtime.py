@@ -345,8 +345,6 @@ def check_determinism(
     runs: int = 2,
     validate: bool = False,
     engine_partitions: int | Sequence[int] = 1,
-    drain_workers: int | Sequence[int] = 1,
-    drain_backend: str = "thread",
 ) -> DeterminismReport:
     """Run the benchmark ``runs`` times and diff every digest.
 
@@ -358,10 +356,6 @@ def check_determinism(
     ``[1, 2]`` proves the partitioned PDES engine digest-identical to the
     sequential one, since the partitioned engine is pinned bit-identical
     (parents, sim seconds, stats, spans) to the sequential specification.
-    ``drain_workers`` cycles the same way — ``[1, 2]`` with a fixed
-    partition count proves the parallel drain scheduler digest-identical
-    to the serial drain loop (the journal-merge replay is specified to
-    reproduce the serial engine's event order exactly).
     """
     from repro.graph500.runner import Graph500Runner
 
@@ -369,12 +363,8 @@ def check_determinism(
         partition_cycle = [engine_partitions]
     else:
         partition_cycle = [int(p) for p in engine_partitions] or [1]
-    if isinstance(drain_workers, int):
-        drain_cycle = [drain_workers]
-    else:
-        drain_cycle = [int(w) for w in drain_workers] or [1]
 
-    def make_run_fn(partitions: int, drain: int) -> Callable[[Any], str]:
+    def make_run_fn(partitions: int) -> Callable[[Any], str]:
         def run_fn(tel: Any) -> str:
             runner = Graph500Runner(
                 scale=scale,
@@ -384,8 +374,6 @@ def check_determinism(
                 validate=validate,
                 workers=workers,
                 engine_partitions=partitions,
-                drain_workers=drain,
-                drain_backend=drain_backend,
                 telemetry=tel,
             )
             return runner.run(num_roots=num_roots).to_json()
@@ -395,8 +383,7 @@ def check_determinism(
     result = DeterminismReport()
     for i in range(runs):
         partitions = partition_cycle[i % len(partition_cycle)]
-        drain = drain_cycle[i % len(drain_cycle)]
-        result.digests.append(run_digest(make_run_fn(partitions, drain)))
+        result.digests.append(run_digest(make_run_fn(partitions)))
     first = result.digests[0]
     for i, other in enumerate(result.digests[1:], start=1):
         for kind in ("report", "spans", "metrics"):

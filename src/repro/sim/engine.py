@@ -25,20 +25,6 @@ from repro.errors import SimulationError
 class Engine:
     """A deterministic event loop over simulated time."""
 
-    @property
-    def journal(self) -> Any:
-        """The calling thread's active drain journal, or ``None``.
-
-        The sequential engine never journals; the property exists so
-        callback code can write ``engine.journal``-aware mutations (fold
-        a shared maximum, count shared records) with one attribute read
-        on the sequential path.
-        :class:`repro.sim.partition.PartitionedEngine` overrides this
-        with a thread-contextual lookup that returns the worker's
-        journal inside a parallel drain window.
-        """
-        return None
-
     def __init__(self) -> None:
         self._queue: list[tuple[float, int, Callable[..., None], tuple[Any, ...]]] = []
         self._seq = 0

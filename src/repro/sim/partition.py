@@ -32,50 +32,14 @@ Event handles double as heap tie-breakers and are allocated in schedule
 order, so the global ``(when, seq)`` execution order is observable —
 simultaneous events (message bursts at a level barrier) are real, and
 reordering them would reorder handle allocation downstream. The drain loop
-therefore never reorders observable effects: the sequential engine remains
-the executable specification, and ``tests/test_message_path_parity.py``
-pins parents, ``sim_seconds``, stats snapshots and telemetry spans
-bit-identical across partition *and* drain-worker counts.
-
-With ``drain_workers == 1`` the coordinator executes the global minimum
-itself: a drain run stays on one lane only while that lane's head is
-strictly below the *drain bound* — the minimum head of every other lane,
-shrunk in place whenever an executed callback pushes work across lanes —
-which is exactly the condition under which the lane head *is* the global
-minimum.
-
-Parallel drain windows (``drain_workers > 1``)
-----------------------------------------------
-Between synchronisation points the coordinator *claims* a window of safe
-events per compute lane and dispatches each lane's claim to a worker;
-fabric and control lanes always stay on the coordinator. Let ``T0`` be the
-earliest compute-lane head and ``L`` the minimum pairwise lookahead. A
-compute event is claimable iff its ``(when, seq)`` key is strictly below
-the fabric head, the control head and the ``until`` cap, *and* its time is
-at most ``T0 + L``. Any event *born during the window* in another lane
-(necessarily a cross-partition delivery) arrives at or after ``T0 + L``
-with a merge-assigned (larger) seq, so no claimed event can be preceded by
-unseen work — the same lookahead bound PR 7 proved for serial drains, now
-applied symmetrically to every lane at once.
-
-Workers never touch shared state. Every effect of an executed event —
-schedules, cancels, metric mutations, telemetry span rows, connection
-ensures, folded scalars — is buffered into a per-event journal batch
-(:class:`_Rec`). Own-lane births below the window horizon (self-send
-injections and their deliveries) execute locally in key order and journal
-their own batches. At the sync point the coordinator replays all batches
-through one heap in global ``(when, seq)`` order, allocating real event
-seqs exactly where the sequential engine would have: schedule ops pop out
-in replay order, so handle allocation, float accumulation order, span ids
-and channel validation are all byte-equal to the sequential engine.
-Newborn *fabric* events whose time lands inside the window are executed
-live at their replay position (link admission only mutates link state,
-which no compute event reads, and schedules deliveries at or beyond
-``T0 + L``); newborn control events inside the window are unprovable and
-raise. The ``drain_backend="process"`` flag forks one child per window
-lane — compute escapes the GIL, the CSR is read through the shared-memory
-segment (:mod:`repro.graph.shm`), and journals come back symbolically
-encoded over a pipe — at a per-window fork/ship cost.
+therefore never reorders: it always executes the global minimum. A drain
+run stays on one lane only while that lane's head is strictly below the
+*drain bound* — the minimum head of every other lane, shrunk in place
+whenever an executed callback pushes work across lanes — which is exactly
+the condition under which the lane head *is* the global minimum. The
+sequential engine remains the executable specification;
+``tests/test_message_path_parity.py`` pins parents, ``sim_seconds``, stats
+snapshots and telemetry spans bit-identical across partition counts.
 
 The fabric lane exists because link admission mutates shared FIFO
 ``free_at`` state with zero lookahead — admissions must serialise in global
@@ -86,36 +50,17 @@ touch no links and stay on their node's compute lane.
 from __future__ import annotations
 
 import heapq
-import os
-import pickle
-import threading
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.engine import Engine
-from repro.telemetry import metrics as _metrics_mod
-from repro.telemetry import spans as _spans_mod
 
 _INF = float("inf")
 
 #: Route kinds for registered scheduling entry points.
 _DELIVERY = 0
 _INJECTION = 1
-
-#: Heap tie for locally-born (merge-seq-pending) events: sorts after every
-#: real (pre-window) seq at the same timestamp, exactly as the sequential
-#: engine would order a just-allocated handle after all existing ones.
-_SEQ_BIG = _INF
-
-#: Below this many remaining ``max_events``, parallel windows are skipped:
-#: exact stop-at-budget semantics require the serial per-event accounting.
-#: ``run_until_quiescent`` passes 100M, so the real kernel path is always
-#: eligible; tiny explicit budgets (tests, debugging) stay serial.
-_MIN_PARALLEL_BUDGET = 1_000_000
-
-_TLS = threading.local()
 
 
 class PartitionLayout:
@@ -247,583 +192,21 @@ class PartitionChannel:
             self.min_slack = slack
 
 
-class _Rec:
-    """One claimed or window-born event on a drain worker, plus its journal.
-
-    ``seq`` is the real pre-window handle for claimed events and ``None``
-    for window-born (local) events until merge replay allocates it. ``ops``
-    is the ordered effect journal of the event's callback; it is applied on
-    the coordinator at the event's global ``(when, seq)`` position.
-    """
-
-    __slots__ = ("when", "seq", "fn", "args", "ops", "executed", "void", "failed")
-
-    def __init__(
-        self,
-        when: float,
-        seq: int | None,
-        fn: Callable[..., None] | None,
-        args: tuple[Any, ...],
-    ) -> None:
-        self.when = when
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.ops: list[list[Any]] = []
-        self.executed = False
-        self.void = False
-        self.failed: BaseException | None = None
-
-
-class _DrainCtx:
-    """Per-lane execution context *and* effect journal for one window.
-
-    Installed as the thread-local scheduling target of the engine and as
-    the drain sink of the metric/span layers while the lane's events run,
-    so every side effect of a callback lands here instead of on shared
-    state. ``heap`` holds ``[when, tie, birth, rec]`` items: claimed events
-    carry their real seq as ``tie`` and locals carry ``inf`` (a pending
-    merge-assigned seq sorts after every pre-window seq at equal time).
-    """
-
-    __slots__ = (
-        "engine", "lane", "cap_key", "la_cap", "heap", "recs", "claimed",
-        "now", "current", "prov", "prov_count", "births", "folds",
-        "executed", "failed",
-    )
-
-    def __init__(
-        self,
-        engine: "PartitionedEngine",
-        lane: int,
-        cap_key: tuple[float, float],
-        la_cap: float,
-    ) -> None:
-        self.engine = engine
-        self.lane = lane
-        self.cap_key = cap_key
-        self.la_cap = la_cap
-        self.heap: list[list[Any]] = []
-        #: Claimed recs in claim (key) order.
-        self.recs: list[_Rec] = []
-        #: Claimed recs by real handle (worker-owned: cancel voids in place).
-        self.claimed: dict[int, _Rec] = {}
-        self.now = 0.0
-        self.current: _Rec | None = None
-        #: Provisional negative handle -> the journaled schedule op.
-        self.prov: dict[int, list[Any]] = {}
-        self.prov_count = 0
-        self.births = 0
-        #: ``(id(obj), attr) -> [obj, attr, kind, value]`` commutative folds.
-        self.folds: dict[tuple[int, str], list[Any]] = {}
-        self.executed = 0
-        self.failed: _Rec | None = None
-
-    # -- engine-facing scheduling (thread-contextual) -------------------------
-    def call_at(
-        self, when: float, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> int:
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={when!r} before now={self.now!r}"
-            )
-        current = self.current
-        assert current is not None
-        rec: _Rec | None = None
-        if self.engine._lane_pure(fn, args) == self.lane:
-            rec = _Rec(when, None, fn, args)
-            heapq.heappush(self.heap, [when, _SEQ_BIG, self.births, rec])
-            self.births += 1
-        op: list[Any] = ["sched", when, fn, args, rec, False]
-        current.ops.append(op)
-        handle = -2 - self.prov_count
-        self.prov_count += 1
-        self.prov[handle] = op
-        return handle
-
-    def schedule_batch(
-        self,
-        whens: list[float],
-        fn: Callable[..., None],
-        argses: list[tuple[Any, ...]],
-    ) -> range:
-        if len(whens) != len(argses):
-            raise SimulationError("schedule_batch lists must have equal lengths")
-        if whens and min(whens) < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={min(whens)!r} before now={self.now!r}"
-            )
-        current = self.current
-        assert current is not None
-        lane = self.lane
-        lane_pure = self.engine._lane_pure
-        recs: list[_Rec | None] = []
-        for when, args in zip(whens, argses):
-            if lane_pure(fn, args) == lane:
-                rec: _Rec | None = _Rec(when, None, fn, args)
-                heapq.heappush(self.heap, [when, _SEQ_BIG, self.births, rec])
-                self.births += 1
-            else:
-                rec = None
-            recs.append(rec)
-        current.ops.append(
-            ["batch", list(whens), fn, list(argses), recs, [False] * len(recs)]
-        )
-        # Real handles are allocated at merge replay; no eligible caller
-        # keeps batch handles (and provisional ranges would not survive the
-        # window), so an empty range is returned.
-        return range(0, 0)
-
-    def cancel(self, handle: int) -> None:
-        if handle < 0:
-            op = self.prov.get(handle)
-            if op is None:
-                raise SimulationError(f"unknown event handle: {handle!r}")
-            rec = op[4]
-            if rec is not None:
-                # Own-lane birth: the worker owns it exclusively.
-                if not rec.executed:
-                    rec.void = True
-                    op[5] = True
-                return
-            # Journaled newborn in another lane: safe only if the target
-            # provably follows the cancelling event in sequential order.
-            when_t = op[1]
-            if when_t > self.now:
-                op[5] = True
-            elif when_t == self.now:
-                raise SimulationError(
-                    "in-window cancel of a simultaneous cross-lane event "
-                    "is order-ambiguous under parallel drain"
-                )
-            return
-        rec2 = self.claimed.get(handle)
-        if rec2 is not None:
-            if not rec2.executed:
-                rec2.void = True
-            return
-        if not 0 <= handle < self.engine._seq:
-            raise SimulationError(f"unknown event handle: {handle!r}")
-        current = self.current
-        assert current is not None
-        current.ops.append(["cancel", handle])
-
-    # -- journal sinks --------------------------------------------------------
-    def metric_op(self, code: str, obj: Any, value: Any) -> None:
-        current = self.current
-        assert current is not None
-        current.ops.append([code, obj, value])
-
-    def span_op(
-        self,
-        recorder: Any,
-        name: str,
-        category: str,
-        start: float,
-        finish: float,
-        parent: int | None,
-        attrs: dict[str, Any],
-    ) -> None:
-        current = self.current
-        assert current is not None
-        current.ops.append(
-            ["span", recorder, name, category, start, finish, parent, attrs]
-        )
-
-    def ensure(self, table: Any, peer: int) -> None:
-        """Journal an idempotent connection ensure (replayed at merge)."""
-        current = self.current
-        assert current is not None
-        current.ops.append(["ensure", table, peer])
-
-    def fold_max(self, obj: Any, attr: str, value: float) -> None:
-        """Fold a commutative running maximum on a shared scalar."""
-        key = (id(obj), attr)
-        slot = self.folds.get(key)
-        if slot is None:
-            self.folds[key] = [obj, attr, "max", value]
-        elif value > slot[3]:
-            slot[3] = value
-
-    def fold_add(self, obj: Any, attr: str, value: float) -> None:
-        """Fold a commutative sum on a shared scalar."""
-        key = (id(obj), attr)
-        slot = self.folds.get(key)
-        if slot is None:
-            self.folds[key] = [obj, attr, "add", value]
-        else:
-            slot[3] += value
-
-
-def _run_lane_worker(ctx: _DrainCtx) -> _DrainCtx:
-    """Execute one lane's window on the calling thread.
-
-    Claimed events run unconditionally (pre-validated against the window
-    cap); window-born locals run only while strictly inside the horizon.
-    Once the heap head fails its condition nothing behind it can pass
-    (claimed heads always sort before a blocked local), so the loop stops
-    at the first refusal. Callback exceptions are captured with their
-    event so the merge can re-raise at the exact global position.
-    """
-    _TLS.ctx = ctx
-    _metrics_mod.set_drain_sink(ctx)
-    _spans_mod.set_drain_sink(ctx)
-    try:
-        heap = ctx.heap
-        cap_key = ctx.cap_key
-        la_cap = ctx.la_cap
-        pop = heapq.heappop
-        while heap:
-            head = heap[0]
-            rec = head[3]
-            if rec.void:
-                pop(heap)
-                continue
-            when = head[0]
-            if rec.seq is None and not (
-                when < la_cap and (when, _SEQ_BIG) < cap_key
-            ):
-                break
-            pop(heap)
-            ctx.now = when
-            ctx.current = rec
-            rec.executed = True
-            ctx.executed += 1
-            fn = rec.fn
-            assert fn is not None
-            try:
-                fn(*rec.args)
-            except BaseException as exc:
-                rec.failed = exc
-                ctx.failed = rec
-                break
-    finally:
-        ctx.current = None
-        _TLS.ctx = None
-        _metrics_mod.set_drain_sink(None)
-        _spans_mod.set_drain_sink(None)
-    return ctx
-
-
-# -- process-backend journal encoding -----------------------------------------
-class _EncodeError(Exception):
-    """A journal referenced an object the process codec cannot ship."""
-
-
-def _link_tags(network: Any) -> dict[int, tuple[str, int]]:
-    out: dict[int, tuple[str, int]] = {}
-    for group_name in ("nic_out", "nic_in", "uplink", "downlink"):
-        for i, link in enumerate(getattr(network, group_name, ())):
-            out[id(link)] = (group_name, i)
-    return out
-
-
-def _metric_descs(
-    registries: list[tuple[str, Any]]
-) -> dict[int, tuple[Any, ...]]:
-    out: dict[int, tuple[Any, ...]] = {}
-    for tag, reg in registries:
-        if reg is None:
-            continue
-        for fam_name in sorted(reg._families):
-            family = reg._families[fam_name]
-            for values in sorted(family.children):
-                child = family.children[values]
-                out[id(child)] = (
-                    tag, family.kind, family.name, family.label_keys,
-                    values, tuple(getattr(child, "buckets", ()) or ()),
-                )
-        series = getattr(reg, "series", None)
-        if series:
-            for name in sorted(series):
-                out[id(series[name])] = (tag, "series", name, (), (), ())
-    return out
-
-
-class _ProcessCodec:
-    """Symbolic (un)marshalling of a worker journal across a fork pipe.
-
-    Forked children share the parent's pre-window object graph but their
-    post-window mutations are private, so ops must come back by *name*:
-    metrics as ``(registry, kind, name, labels)``, links as ``(group, i)``,
-    bound methods as ``(target-tag, method)``, connection tables by node
-    id, and fold targets by their registered tag. Messages and other
-    payloads ship by value (one pickle memo per blob keeps shared
-    references shared). The parent decodes against its own objects and the
-    merge path is then identical to thread mode.
-    """
-
-    def __init__(self, engine: "PartitionedEngine") -> None:
-        cluster = engine._cluster
-        self.engine = engine
-        self.cluster = cluster
-        self.registries: list[tuple[str, Any]] = [("stats", cluster.stats)]
-        telemetry = engine.telemetry
-        if telemetry is not None:
-            self.registries.append(("metrics", telemetry.metrics))
-        self.spans = None if telemetry is None else telemetry.spans
-        self.fn_targets: dict[int, str] = {id(cluster): "cluster"}
-        for tag, obj in engine._drain_targets.items():
-            self.fn_targets.setdefault(id(obj), tag)
-        self.link_tags = _link_tags(cluster.network)
-        self.links: dict[tuple[str, int], Any] = {
-            tag: link
-            for link, tag in (
-                (getattr(cluster.network, g)[i], (g, i))
-                for (g, i) in self.link_tags.values()
-            )
-        }
-        self.fold_tags: dict[int, str] = {
-            id(obj): tag for tag, obj in engine._drain_targets.items()
-        }
-        self.metric_descs: dict[int, tuple[Any, ...]] | None = None
-
-    # -- encode (child side) --------------------------------------------------
-    def _enc_fn(self, fn: Callable[..., None]) -> tuple[str, str]:
-        owner = getattr(fn, "__self__", None)
-        tag = None if owner is None else self.fn_targets.get(id(owner))
-        if tag is None:
-            raise _EncodeError(
-                f"process drain backend cannot ship callback {fn!r}; "
-                "use drain_backend='thread'"
-            )
-        return (tag, fn.__name__)
-
-    def _enc_val(self, value: Any) -> Any:
-        if isinstance(value, tuple):
-            return ("t", [self._enc_val(v) for v in value])
-        if isinstance(value, list):
-            return ("l", [self._enc_val(v) for v in value])
-        tag = self.link_tags.get(id(value))
-        if tag is not None:
-            return ("k", tag)
-        return ("v", value)
-
-    def _enc_metric(self, obj: Any) -> tuple[Any, ...]:
-        if self.metric_descs is None:
-            self.metric_descs = _metric_descs(self.registries)
-        desc = self.metric_descs.get(id(obj))
-        if desc is None:
-            # Created during this window: rescan once.
-            self.metric_descs = _metric_descs(self.registries)
-            desc = self.metric_descs.get(id(obj))
-        if desc is None:
-            raise _EncodeError(
-                f"process drain backend cannot locate metric {obj!r} in "
-                "the cluster stats or telemetry registries"
-            )
-        return desc
-
-    def encode_ctx(self, ctx: _DrainCtx) -> bytes:
-        rec_ids: dict[int, int] = {}
-        recs: list[_Rec] = []
-
-        def rid(rec: _Rec) -> int:
-            key = id(rec)
-            got = rec_ids.get(key)
-            if got is None:
-                got = rec_ids[key] = len(recs)
-                recs.append(rec)
-            return got
-
-        for rec in ctx.recs:
-            rid(rec)
-        claimed_n = len(ctx.recs)
-        enc_recs: list[Any] = []
-        i = 0
-        while i < len(recs):  # ops discover local recs as we encode
-            rec = recs[i]
-            ops_enc: list[Any] = []
-            for op in rec.ops:
-                code = op[0]
-                if code == "sched":
-                    ops_enc.append((
-                        "sched", op[1], self._enc_fn(op[2]),
-                        self._enc_val(op[3]),
-                        -1 if op[4] is None else rid(op[4]), op[5],
-                    ))
-                elif code == "batch":
-                    ops_enc.append((
-                        "batch", list(op[1]), self._enc_fn(op[2]),
-                        [self._enc_val(a) for a in op[3]],
-                        [-1 if r is None else rid(r) for r in op[4]],
-                        list(op[5]),
-                    ))
-                elif code == "cancel":
-                    ops_enc.append(("cancel", op[1]))
-                elif code == "span":
-                    if op[1] is not self.spans:
-                        raise _EncodeError(
-                            "process drain backend can only journal the "
-                            "session telemetry span recorder"
-                        )
-                    ops_enc.append(("span",) + tuple(op[2:]))
-                elif code == "ensure":
-                    ops_enc.append(("ensure", op[1].node_id, op[2]))
-                else:  # metric mutation
-                    ops_enc.append((code, self._enc_metric(op[1]), op[2]))
-            failed = rec.failed
-            if failed is not None:
-                try:
-                    pickle.dumps(failed)
-                except Exception:
-                    failed = SimulationError(
-                        f"{type(rec.failed).__name__}: {rec.failed}"
-                    )
-            local = None
-            if i >= claimed_n:
-                local = (rec.when, self._enc_fn(rec.fn) if rec.fn else None,
-                         self._enc_val(rec.args))
-            enc_recs.append((rec.executed, rec.void, failed, ops_enc, local))
-            i += 1
-        folds_enc = []
-        for slot in ctx.folds.values():
-            tag = self.fold_tags.get(id(slot[0]))
-            if tag is None:
-                raise _EncodeError(
-                    f"process drain backend has no registered tag for fold "
-                    f"target {slot[0]!r}; call register_drain_target()"
-                )
-            folds_enc.append((tag, slot[1], slot[2], slot[3]))
-        codec = self.engine.drain_state_codec
-        state = None
-        if codec is not None and self.engine.layout is not None:
-            lo, hi = self.engine.layout.span(ctx.lane)
-            state = codec[0](lo, hi)
-        blob = {
-            "lane": ctx.lane,
-            "executed": ctx.executed,
-            "claimed_n": claimed_n,
-            "recs": enc_recs,
-            "folds": folds_enc,
-            "state": state,
-        }
-        return pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL)
-
-    # -- decode (parent side) -------------------------------------------------
-    def _dec_fn(self, enc: tuple[str, str]) -> Callable[..., None]:
-        tag, name = enc
-        target = self.cluster if tag == "cluster" else self.engine._drain_targets[tag]
-        fn: Callable[..., None] = getattr(target, name)
-        return fn
-
-    def _dec_val(self, enc: Any) -> Any:
-        code, payload = enc
-        if code == "t":
-            return tuple(self._dec_val(v) for v in payload)
-        if code == "l":
-            return [self._dec_val(v) for v in payload]
-        if code == "k":
-            return self.links[tuple(payload)]
-        return payload
-
-    def _dec_metric(self, desc: tuple[Any, ...]) -> Any:
-        tag, kind, name, label_keys, values, buckets = desc
-        reg = dict(self.registries)[tag]
-        labels = dict(zip(label_keys, values))
-        if kind == "counter":
-            return reg.counter(name, **labels)
-        if kind == "gauge":
-            return reg.gauge(name, **labels)
-        if kind == "histogram":
-            return reg.histogram(name, buckets=tuple(buckets), **labels)
-        if kind == "series":
-            return reg.timeseries(name)
-        raise SimulationError(f"unknown journaled metric kind {kind!r}")
-
-    def decode_into(self, ctx: _DrainCtx, payload: bytes) -> None:
-        blob = pickle.loads(payload)
-        enc_recs = blob["recs"]
-        claimed_n = blob["claimed_n"]
-        recs: list[_Rec] = list(ctx.recs)
-        for enc in enc_recs[claimed_n:]:
-            local = enc[4]
-            when, fn_enc, args_enc = local
-            recs.append(_Rec(
-                when, None,
-                None if fn_enc is None else self._dec_fn(fn_enc),
-                self._dec_val(args_enc),
-            ))
-        for rec, enc in zip(recs, enc_recs):
-            executed, void, failed, ops_enc, _local = enc
-            rec.executed = executed
-            rec.void = void
-            rec.failed = failed
-            if failed is not None:
-                ctx.failed = rec
-            ops: list[list[Any]] = []
-            for op in ops_enc:
-                code = op[0]
-                if code == "sched":
-                    ops.append([
-                        "sched", op[1], self._dec_fn(op[2]),
-                        self._dec_val(op[3]),
-                        None if op[4] < 0 else recs[op[4]], op[5],
-                    ])
-                elif code == "batch":
-                    ops.append([
-                        "batch", list(op[1]), self._dec_fn(op[2]),
-                        [self._dec_val(a) for a in op[3]],
-                        [None if r < 0 else recs[r] for r in op[4]],
-                        list(op[5]),
-                    ])
-                elif code == "cancel":
-                    ops.append(["cancel", op[1]])
-                elif code == "span":
-                    ops.append(["span", self.spans] + list(op[1:]))
-                elif code == "ensure":
-                    ops.append([
-                        "ensure", self.cluster.connections[op[1]], op[2]
-                    ])
-                else:
-                    ops.append([code, self._dec_metric(op[1]), op[2]])
-            rec.ops = ops
-        ctx.executed = blob["executed"]
-        ctx.folds = {}
-        for tag, attr, kind, value in blob["folds"]:
-            obj = self.engine._drain_targets[tag]
-            ctx.folds[(id(obj), attr)] = [obj, attr, kind, value]
-        codec = self.engine.drain_state_codec
-        if codec is not None and blob["state"] is not None:
-            codec[1](blob["state"])
-
-
 class PartitionedEngine(Engine):
     """Multi-lane event engine executing the exact global event order.
 
     Drop-in replacement for :class:`~repro.sim.engine.Engine` (same
     scheduling/cancel/run API, same clock semantics, same telemetry
-    accounting). Construct with the partition count — and optionally a
-    drain worker pool — then call :meth:`attach_cluster` once the
-    simulated cluster exists so the layout and lookahead table can be
-    derived from its modeled network.
+    accounting). Construct with the partition count, then call
+    :meth:`attach_cluster` once the simulated cluster exists so the layout
+    and lookahead table can be derived from its modeled network.
     """
 
-    def __init__(
-        self,
-        partitions: int,
-        drain_workers: int = 1,
-        drain_backend: str = "thread",
-    ) -> None:
+    def __init__(self, partitions: int) -> None:
         super().__init__()
         if partitions < 1:
             raise ConfigError(f"need at least one partition, got {partitions}")
-        if drain_workers < 1:
-            raise ConfigError(
-                f"need at least one drain worker, got {drain_workers}"
-            )
-        if drain_backend not in ("thread", "process"):
-            raise ConfigError(
-                f"drain backend must be 'thread' or 'process', "
-                f"got {drain_backend!r}"
-            )
         self.partitions = int(partitions)
-        self.drain_workers = int(drain_workers)
-        self.drain_backend = drain_backend
-        #: Minimum events (across >= 2 lanes) worth dispatching a window
-        #: for; below this the coordinator drains serially. Tunable —
-        #: results are bit-identical at any value.
-        self.parallel_min_claim = 2
         #: Lane indices: ``0..partitions-1`` compute, then fabric, control.
         self._fabric = self.partitions
         self._control = self.partitions + 1
@@ -849,30 +232,6 @@ class PartitionedEngine(Engine):
         #: Drain-run length histogram: ``_drain_hist[i]`` counts runs of
         #: length ``[2**(i-1), 2**i)`` (index 0 counts empty runs).
         self._drain_hist: list[int] = []
-        # Parallel-drain wiring and accounting.
-        self._cluster: Any = None
-        self._la_min = _INF
-        self._pool: ThreadPoolExecutor | None = None
-        self._unsafe_reason: str | None = None
-        self._last_fallback: str | None = "never ran"
-        self._windows = 0
-        self._window_events = 0
-        self._merge_live_events = 0
-        self._imbalance_sum = 0.0
-        self._occupancy_sum = 0.0
-        # Merge-replay scratch state (valid only inside _merge_window).
-        self._replay: list[tuple[float, int, int, Any]] = []
-        self._replay_batches = 0
-        self._merge_cap: tuple[float, float] = (_INF, _INF)
-        self._merge_la_cap = _INF
-        #: Optional ``(collect(lo, hi) -> blob, apply(blob))`` pair used by
-        #: the process backend to ship per-lane simulation state home.
-        self.drain_state_codec: tuple[
-            Callable[[int, int], Any], Callable[[Any], None]
-        ] | None = None
-        #: Named objects the process codec may reference symbolically
-        #: (fold targets, callback owners). Thread mode ignores this.
-        self._drain_targets: dict[str, Any] = {}
 
     # -- wiring ------------------------------------------------------------------
     def attach_cluster(self, cluster: Any) -> None:
@@ -882,21 +241,6 @@ class PartitionedEngine(Engine):
         self.layout = layout
         self._node_partition = layout.part_of
         self.lookahead = LookaheadTable(layout, cluster.network)
-        # The parallel-window ceiling must also cover *intra*-partition
-        # remote sends: a compute event can send to another node of its
-        # own partition, which round-trips through the fabric lane and
-        # lands back on the same compute lane after only the intra
-        # latency. The window bound is therefore the minimum over every
-        # distinct-node pair, not just cross-partition pairs.
-        la = self.lookahead.min_lookahead()
-        for p in range(layout.partitions):
-            lo, hi = layout.span(p)
-            if hi - lo > 1:
-                la = min(
-                    la, cluster.network.min_cross_latency((lo, hi), (lo, hi))
-                )
-        self._la_min = la
-        self._cluster = cluster
         self._channels = {}
         for a in range(layout.partitions):
             for b in range(layout.partitions):
@@ -924,18 +268,6 @@ class PartitionedEngine(Engine):
         node's compute lane."""
         self._routes[getattr(fn, "__func__", fn)] = _INJECTION
 
-    def mark_parallel_unsafe(self, reason: str) -> None:
-        """Pin this engine to serial drains (e.g. a transport interposer
-        shares retransmit state across lanes outside the journal API).
-        Results are bit-identical either way; this only disables the
-        worker pool."""
-        self._unsafe_reason = reason
-
-    def register_drain_target(self, tag: str, obj: Any) -> None:
-        """Name an object so process-backend journals can reference it
-        symbolically (fold targets, callback owners)."""
-        self._drain_targets[tag] = obj
-
     # -- classification ----------------------------------------------------------
     def _lane_of(
         self, when: float, fn: Callable[..., None], args: tuple[Any, ...]
@@ -957,43 +289,12 @@ class PartitionedEngine(Engine):
             return table[msg.dst]
         return self._fabric
 
-    def _lane_pure(  # repro: effect=pure
-        self, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> int:
-        """Lane classification without the channel side effect — used by
-        drain workers; the channel records at merge replay, which is the
-        event's sequential schedule position."""
-        kind = self._routes.get(getattr(fn, "__func__", fn))
-        if kind is None or not args:
-            return self._control
-        msg = args[0]
-        table = self._node_partition
-        if kind == _DELIVERY:
-            return table[msg.dst]
-        if msg.src == msg.dst:
-            return table[msg.dst]
-        return self._fabric
-
     # -- bookkeeping --------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def now(self) -> float:
-        """Current simulated time; on a drain worker, the worker's clock."""
-        ctx = getattr(_TLS, "ctx", None)
-        return self._now if ctx is None else ctx.now
-
-    @property
-    def journal(self) -> Any:
-        """The calling thread's drain journal inside a window, else None."""
-        return getattr(_TLS, "ctx", None)
-
     # -- scheduling ---------------------------------------------------------------
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> int:
-        ctx = getattr(_TLS, "ctx", None)
-        if ctx is not None:
-            return ctx.call_at(when, fn, args)
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={when!r} before now={self._now!r}"
@@ -1010,20 +311,12 @@ class PartitionedEngine(Engine):
                 self._drain_bound = (when, handle)
         return handle
 
-    def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> int:
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
-        return self.call_at(self.now + delay, fn, *args)
-
     def schedule_batch(
         self,
         whens: list[float],
         fn: Callable[..., None],
         argses: list[tuple[Any, ...]],
     ) -> range:
-        ctx = getattr(_TLS, "ctx", None)
-        if ctx is not None:
-            return ctx.schedule_batch(whens, fn, argses)
         if len(whens) != len(argses):
             raise SimulationError("schedule_batch lists must have equal lengths")
         if whens and min(whens) < self._now:
@@ -1055,10 +348,6 @@ class PartitionedEngine(Engine):
         and is voided in place in its lane heap (payload freed, heap node
         skipped at pop), so cancellation is bounded by construction.
         Cancelling an already-executed handle is a tolerated no-op."""
-        ctx = getattr(_TLS, "ctx", None)
-        if ctx is not None:
-            ctx.cancel(handle)
-            return
         if not 0 <= handle < self._seq:
             raise SimulationError(f"unknown event handle: {handle!r}")
         entry = self._entries.pop(handle, None)
@@ -1106,15 +395,6 @@ class PartitionedEngine(Engine):
         entry[2](*entry[3])
         return True
 
-    def _note_drain_len(self, run_len: int) -> None:
-        bucket = run_len.bit_length()
-        hist = self._drain_hist
-        while len(hist) <= bucket:
-            hist.append(0)
-        hist[bucket] += 1
-        if run_len > self._longest_drain:
-            self._longest_drain = run_len
-
     def _drain_one(
         self,
         lane_idx: int,
@@ -1122,7 +402,7 @@ class PartitionedEngine(Engine):
         max_events: int | None,
         executed: int,
     ) -> int:
-        """One conservative serial drain run on ``lane_idx`` (coordinator).
+        """One conservative drain run on ``lane_idx``.
 
         Stays on the lane while its head is strictly below every other
         lane's earliest entry. The bound shrinks in place whenever an
@@ -1173,7 +453,13 @@ class PartitionedEngine(Engine):
             run_len += 1
             fn(*head[3])
         self._lane_events[lane_idx] += run_len
-        self._note_drain_len(run_len)
+        bucket = run_len.bit_length()
+        hist = self._drain_hist
+        while len(hist) <= bucket:
+            hist.append(0)
+        hist[bucket] += 1
+        if run_len > self._longest_drain:
+            self._longest_drain = run_len
         return executed
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
@@ -1181,19 +467,12 @@ class PartitionedEngine(Engine):
 
         Clock semantics match :meth:`Engine.run` exactly: with ``until``
         set, later events stay queued and the clock lands on ``until``.
-        With ``drain_workers > 1`` (and an eligible configuration) safe
-        per-lane windows execute on the worker pool and their journals are
-        merged at each sync point; every observable — parents, clock,
-        stats, spans, handles — is bit-identical to the serial drain.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
-        reason = self._parallel_fallback_reason(max_events)
-        self._last_fallback = reason
         self._running = True
         executed = 0
         try:
-            parallel = reason is None
             while True:
                 lane_idx = self._min_lane()
                 if lane_idx < 0:
@@ -1206,14 +485,6 @@ class PartitionedEngine(Engine):
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                if parallel and lane_idx < self.partitions:
-                    window = self._claim_window(
-                        until,
-                        None if max_events is None else max_events - executed,
-                    )
-                    if window is not None:
-                        executed = self._execute_window(window, executed)
-                        continue
                 executed = self._drain_one(lane_idx, until, max_events, executed)
         finally:
             self._running = False
@@ -1235,415 +506,6 @@ class PartitionedEngine(Engine):
             )
         return self._now
 
-    # -- parallel drain windows ---------------------------------------------------
-    def _parallel_fallback_reason(self, max_events: int | None) -> str | None:
-        """Why this run must drain serially, or None when windows may run.
-
-        The fallback is free of observable consequences — serial and
-        parallel drains are bit-identical — so eligibility can be decided
-        conservatively per run.
-        """
-        if self.drain_workers <= 1:
-            return "drain_workers=1"
-        if self.partitions < 2:
-            return "single partition"
-        if self.layout is None or self._cluster is None:
-            return "no cluster attached"
-        if self._unsafe_reason is not None:
-            return self._unsafe_reason
-        if not self._la_min > 0.0 or self._la_min == _INF:
-            return "no usable cross-partition lookahead"
-        cluster_dict = self._cluster.__dict__
-        for name in ("send", "send_batch", "_deliver", "_inject", "_inject_batched"):
-            if name in cluster_dict:
-                return (
-                    f"cluster.{name} interposer installed (sanitizer or "
-                    "fault injector observes global order)"
-                )
-        if max_events is not None and max_events < _MIN_PARALLEL_BUDGET:
-            return "small max_events budget needs exact serial accounting"
-        if self.drain_backend == "process":
-            if not hasattr(os, "fork"):
-                return "process drain backend needs os.fork"
-            if self.drain_state_codec is None:
-                return "process drain backend needs a drain_state_codec"
-        return None
-
-    def _claim_window(
-        self, until: float | None, remaining: int | None
-    ) -> tuple[list[_DrainCtx], dict[int, _Rec]] | None:
-        """Claim one parallel window, or None when a serial step is better.
-
-        The cap key is the strict upper bound every claim must stay below:
-        the fabric head, the control head and the ``until`` horizon (the
-        latter inclusive of equal times, matching serial semantics). The
-        lookahead ceiling ``T0 + L`` additionally bounds claim *times*
-        (inclusive: a window-born cross delivery at exactly ``T0 + L``
-        carries a merge-assigned seq and sorts after every claimed event
-        at that time).
-        """
-        lanes = self._lanes
-        cap_key: tuple[float, float] = (_INF, _INF)
-        fabric = lanes[self._fabric]
-        if fabric:
-            cap_key = (fabric[0][0], fabric[0][1])
-        control = lanes[self._control]
-        if control and (control[0][0], control[0][1]) < cap_key:
-            cap_key = (control[0][0], control[0][1])
-        if until is not None and (until, _INF) < cap_key:
-            cap_key = (until, _INF)
-        t0 = _INF
-        for q in range(self.partitions):
-            heap = lanes[q]
-            if heap and heap[0][0] < t0:
-                t0 = heap[0][0]
-        if t0 == _INF:
-            return None
-        la_cap = t0 + self._la_min
-        pop = heapq.heappop
-        claims: list[tuple[int, list[list[Any]]]] = []
-        total = 0
-        for q in range(self.partitions):
-            heap = lanes[q]
-            out: list[list[Any]] = []
-            while heap:
-                head = heap[0]
-                if head[2] is None:
-                    pop(heap)
-                    continue
-                when = head[0]
-                if when > la_cap or not (when, head[1]) < cap_key:
-                    break
-                pop(heap)
-                out.append(head)
-            if out:
-                claims.append((q, out))
-                total += len(out)
-        if (
-            len(claims) < 2
-            or total < self.parallel_min_claim
-            or (remaining is not None and total + 1024 > remaining)
-        ):
-            for q, entries in claims:
-                heap = lanes[q]
-                for entry in entries:
-                    heapq.heappush(heap, entry)
-            return None
-        ctxs: list[_DrainCtx] = []
-        window_claimed: dict[int, _Rec] = {}
-        for q, entries in claims:
-            ctx = _DrainCtx(self, q, cap_key, la_cap)
-            for entry in entries:
-                seq = entry[1]
-                del self._entries[seq]
-                rec = _Rec(entry[0], seq, entry[2], entry[3])
-                ctx.recs.append(rec)
-                ctx.claimed[seq] = rec
-                # Entries arrive in key order, so the list is heap-valid.
-                ctx.heap.append([entry[0], seq, 0, rec])
-                window_claimed[seq] = rec
-            ctxs.append(ctx)
-        return ctxs, window_claimed
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = ThreadPoolExecutor(
-                max_workers=self.drain_workers, thread_name_prefix="drain"
-            )
-        return pool
-
-    def _execute_window(
-        self, window: tuple[list[_DrainCtx], dict[int, _Rec]], executed: int
-    ) -> int:
-        """Dispatch one claimed window to the workers and merge it."""
-        ctxs, window_claimed = window
-        if self.drain_backend == "process":
-            self._run_window_process(ctxs)
-        else:
-            pool = self._ensure_pool()
-            futures = [pool.submit(_run_lane_worker, ctx) for ctx in ctxs[1:]]
-            # The coordinator doubles as the first worker: it would only
-            # block on the futures otherwise.
-            _run_lane_worker(ctxs[0])
-            for future in futures:
-                future.result()
-        # Window accounting (parallel drains count as one run per lane).
-        self._windows += 1
-        window_events = 0
-        max_lane = 0
-        for ctx in ctxs:
-            self._drains += 1
-            self._lane_events[ctx.lane] += ctx.executed
-            self._note_drain_len(ctx.executed)
-            window_events += ctx.executed
-            if ctx.executed > max_lane:
-                max_lane = ctx.executed
-        self._window_events += window_events
-        if max_lane:
-            mean = window_events / len(ctxs)
-            self._imbalance_sum += max_lane / mean
-            self._occupancy_sum += mean / max_lane
-        executed += window_events
-        return self._merge_window(ctxs, window_claimed, executed)
-
-    def _run_window_process(self, ctxs: list[_DrainCtx]) -> None:
-        """Fork one child per worker lane; the coordinator runs lane 0.
-
-        Children inherit the full pre-window state (including the
-        shared-memory CSR mapping), execute their lane exactly as a thread
-        worker would, and ship the journal back symbolically encoded.
-        """
-        codec = _ProcessCodec(self)
-        children: list[tuple[int, int, _DrainCtx]] = []
-        for ctx in ctxs[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 0
-                try:
-                    os.close(read_fd)
-                    try:
-                        _run_lane_worker(ctx)
-                        payload = codec.encode_ctx(ctx)
-                        blob = pickle.dumps(("ok", payload))
-                    except BaseException as exc:  # ship the failure home
-                        blob = pickle.dumps(("err", f"{type(exc).__name__}: {exc}"))
-                        status = 1
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(blob)
-                except BaseException:
-                    status = 1
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, read_fd, ctx))
-        _run_lane_worker(ctxs[0])
-        failures: list[str] = []
-        for pid, read_fd, ctx in children:
-            with os.fdopen(read_fd, "rb") as pipe:
-                raw = pipe.read()
-            os.waitpid(pid, 0)
-            if not raw:
-                failures.append(f"lane {ctx.lane}: worker died without a journal")
-                continue
-            kind, payload = pickle.loads(raw)
-            if kind != "ok":
-                failures.append(f"lane {ctx.lane}: {payload}")
-                continue
-            codec.decode_into(ctx, payload)
-        if failures:
-            self._restore_unexecuted(ctxs)
-            raise SimulationError(
-                "process drain window failed: " + "; ".join(failures)
-            )
-
-    def _restore_unexecuted(self, ctxs: list[_DrainCtx]) -> None:
-        """Put claimed-but-unexecuted events back so post-exception engine
-        state matches the sequential engine (which never popped them)."""
-        for ctx in ctxs:
-            heap = self._lanes[ctx.lane]
-            for rec in ctx.recs:
-                if not rec.executed and not rec.void and rec.seq is not None:
-                    entry: list[Any] = [rec.when, rec.seq, rec.fn, rec.args]
-                    self._entries[rec.seq] = entry
-                    heapq.heappush(heap, entry)
-
-    def _apply_folds(self, ctxs: list[_DrainCtx]) -> None:
-        for ctx in ctxs:
-            for slot in ctx.folds.values():
-                obj, attr, kind, value = slot
-                if kind == "max":
-                    if value > getattr(obj, attr):
-                        setattr(obj, attr, value)
-                else:
-                    setattr(obj, attr, getattr(obj, attr) + value)
-
-    def _merge_window(
-        self,
-        ctxs: list[_DrainCtx],
-        window_claimed: dict[int, _Rec],
-        executed: int,
-    ) -> int:
-        """Replay every lane journal in global ``(when, seq)`` order.
-
-        One heap drives the replay: executed events' journal batches enter
-        under their key; schedule ops replayed inside a batch allocate the
-        real seq right there — the sequential allocation position — and
-        either enqueue the born event's own batch (it ran locally), insert
-        a live entry into the real lanes, or (fabric newborns whose key
-        precedes a remaining batch) execute it on the spot at its exact
-        global position. Channel validation happens here too, at the born
-        event's sequential schedule position.
-        """
-        replay: list[tuple[float, int, int, Any]] = []
-        self._replay = replay
-        self._replay_batches = 0
-        # Every batch key is strictly below the window cap, so a newborn
-        # at or past the cap can never precede remaining replay work and
-        # stays a plain lane entry for the outer loop. Batch *times* are
-        # additionally bounded by the lookahead ceiling, so a newborn at
-        # or past the ceiling always sorts after every remaining batch
-        # (equal-time claimed batches carry smaller, pre-window seqs).
-        self._merge_cap = ctxs[0].cap_key
-        self._merge_la_cap = ctxs[0].la_cap
-        for ctx in ctxs:
-            for rec in ctx.recs:
-                if rec.executed:
-                    assert rec.seq is not None
-                    heapq.heappush(replay, (rec.when, rec.seq, 0, rec))
-                    self._replay_batches += 1
-        entries = self._entries
-        while replay:
-            when, seq, kind, payload = heapq.heappop(replay)
-            if kind == 1:
-                # A window-born fabric event: link admission interleaves
-                # with the remaining batches in exact global order. Once
-                # no batches remain it stays queued for the outer loop.
-                if self._replay_batches == 0:
-                    break
-                entry = payload
-                if entry[2] is None:
-                    continue
-                del entries[seq]
-                fn = entry[2]
-                args = entry[3]
-                entry[2] = None
-                entry[3] = ()
-                self._now = when
-                self._lane_events[self._fabric] += 1
-                self._merge_live_events += 1
-                executed += 1
-                fn(*args)
-                continue
-            self._replay_batches -= 1
-            rec = payload
-            self._now = when
-            self._apply_ops(rec, (when, seq), window_claimed)
-            if rec.failed is not None:
-                # The failing callback's pre-exception effects are applied
-                # (they happened), unexecuted claims go back to their
-                # lanes, and the failure surfaces at its exact global
-                # position. Events *behind* the failure that already ran
-                # on other lanes stay applied — acceptable divergence:
-                # post-exception engine state is unspecified, and fault
-                # configurations drain serially anyway.
-                self._restore_unexecuted(ctxs)
-                self._apply_folds(ctxs)
-                raise rec.failed
-        self._apply_folds(ctxs)
-        return executed
-
-    def _apply_ops(
-        self,
-        rec: _Rec,
-        batch_key: tuple[float, int],
-        window_claimed: dict[int, _Rec],
-    ) -> None:
-        for op in rec.ops:
-            code = op[0]
-            if code == "sched":
-                self._merge_sched(op[1], op[2], op[3], op[4], op[5])
-            elif code == "batch":
-                whens, fn, argses, locals_, flags = (
-                    op[1], op[2], op[3], op[4], op[5]
-                )
-                for i in range(len(whens)):
-                    self._merge_sched(
-                        whens[i], fn, argses[i], locals_[i], flags[i]
-                    )
-            elif code == "cancel":
-                handle = op[1]
-                target = window_claimed.get(handle)
-                if target is not None:
-                    if not target.executed:
-                        # Claim never ran (failure stop): cancel it like
-                        # the sequential engine would have.
-                        target.void = True
-                    elif not (target.when, handle) < batch_key:
-                        raise SimulationError(
-                            "parallel drain executed an event that a "
-                            "cross-lane callback cancelled first — the "
-                            "configuration schedules cancels inside the "
-                            "lookahead window"
-                        )
-                    continue
-                self.cancel(handle)
-            elif code == "cadd":
-                op[1].value += op[2]
-            elif code == "gset":
-                op[1].value = op[2]
-            elif code == "gadd":
-                op[1].value += op[2]
-            elif code == "gmax":
-                if op[2] > op[1].value:
-                    op[1].value = op[2]
-            elif code == "hobs":
-                op[1].observe(op[2])
-            elif code == "tobs":
-                op[1].observe(op[2][0], op[2][1])
-            elif code == "span":
-                op[1].record(
-                    op[2], op[3], op[4], op[5], parent=op[6], **op[7]
-                )
-            elif code == "ensure":
-                op[1].ensure(op[2])
-            else:
-                raise SimulationError(f"unknown journal op {code!r}")
-
-    def _merge_sched(
-        self,
-        when: float,
-        fn: Callable[..., None],
-        args: tuple[Any, ...],
-        local: _Rec | None,
-        cancelled: bool,
-    ) -> None:
-        """Replay one journaled schedule at its sequential position."""
-        seq = self._seq
-        self._seq = seq + 1
-        if local is not None:
-            local.seq = seq
-            if cancelled or local.void:
-                return
-            if local.executed:
-                heapq.heappush(self._replay, (when, seq, 0, local))
-                self._replay_batches += 1
-                return
-            # Born inside the window but past the horizon: becomes a real
-            # entry in its lane, executed by the outer loop in key order.
-            entry: list[Any] = [when, seq, fn, args]
-            self._entries[seq] = entry
-            heapq.heappush(self._lanes[self._lane_of(when, fn, args)], entry)
-            return
-        if cancelled:
-            return
-        lane = self._lane_of(when, fn, args)
-        entry = [when, seq, fn, args]
-        self._entries[seq] = entry
-        heapq.heappush(self._lanes[lane], entry)
-        if lane == self._fabric:
-            # Link admissions interleave with remaining batches in key
-            # order; the marker is popped at its exact global position
-            # (or left queued once no batch can precede it).
-            if (when, seq) < self._merge_cap:
-                heapq.heappush(self._replay, (when, seq, 1, entry))
-        elif when < self._merge_la_cap:
-            if lane == self._control:
-                raise SimulationError(
-                    "a drain worker scheduled a control-lane event inside "
-                    "the lookahead window; its interleaving with claimed "
-                    "events cannot be proven safe — mark_parallel_unsafe() "
-                    "or keep drain_workers=1 for this workload"
-                )
-            # Deliveries arrive at least one full lookahead after their
-            # send, which puts them at or past the window ceiling;
-            # landing below it means the link model broke the bound.
-            raise SimulationError(
-                "message delivery landed inside the lookahead window "
-                "during a parallel drain"
-            )
-
     # -- reporting ----------------------------------------------------------------
     def _drain_hist_rendered(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -1662,8 +524,7 @@ class PartitionedEngine(Engine):
         return out
 
     def partition_report(self) -> dict[str, Any]:
-        """PDES self-accounting: layout, lane loads, drain runs, windows,
-        occupancy/imbalance, channels.
+        """PDES self-accounting: layout, lane loads, drain runs, channels.
 
         Deliberately *not* part of the cluster stats registry — parity
         tests pin stats snapshots bit-identical across partition counts,
@@ -1682,7 +543,6 @@ class PartitionedEngine(Engine):
                     "min_slack": channel.min_slack if channel.pushes else None,
                 }
             )
-        windows = self._windows
         return {
             "partitions": self.partitions,
             "bounds": None if layout is None else list(layout.bounds),
@@ -1695,17 +555,5 @@ class PartitionedEngine(Engine):
             "drains": self._drains,
             "longest_drain": self._longest_drain,
             "drain_run_hist": self._drain_hist_rendered(),
-            "drain_workers": self.drain_workers,
-            "drain_backend": self.drain_backend,
-            "parallel_windows": windows,
-            "parallel_window_events": self._window_events,
-            "merge_live_events": self._merge_live_events,
-            "parallel_fallback": self._last_fallback,
-            "occupancy": (
-                self._occupancy_sum / windows if windows else None
-            ),
-            "imbalance": (
-                self._imbalance_sum / windows if windows else None
-            ),
             "channels": channels,
         }

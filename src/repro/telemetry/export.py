@@ -1,9 +1,8 @@
 """Exporters: Chrome/Perfetto trace JSON, JSON run reports, CSV/markdown.
 
-This module is the successor of ``repro.utils.trace`` (now a deprecated
-shim over it): busy-interval collection and Chrome Trace Event rendering
-live here, extended with span events and the machine-readable run report
-that ``repro profile`` writes.
+Busy-interval collection and Chrome Trace Event rendering live here,
+together with span events and the machine-readable run report that
+``repro profile`` writes.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.telemetry.critical_path import CLASSES, CriticalPathReport
 from repro.telemetry.spans import Span
 
 
-# -- busy intervals (migrated from repro.utils.trace) --------------------------
+# -- busy intervals ------------------------------------------------------------
 def enable_tracing(servers: Iterable[Server]) -> None:
     """Attach interval logs to servers (idempotent)."""
     for s in servers:

@@ -29,21 +29,6 @@ from typing import Any
 
 from repro.errors import ConfigError
 
-#: Thread-local drain journal. While a parallel drain window executes
-#: (:mod:`repro.sim.partition`), every metric mutation made on a worker
-#: thread is routed into the worker's journal instead of the shared
-#: object, and replayed on the coordinator in exact global event order —
-#: the only way float accumulation and span/metric interleavings stay
-#: bit-identical to the sequential engine. Coordinator threads (and every
-#: run without parallel drain) see ``journal is None`` and take the plain
-#: in-place path, so the sequential hot path costs one thread-local read.
-_DRAIN_SINK = threading.local()
-
-
-def set_drain_sink(journal: Any) -> None:
-    """Install (or with ``None`` clear) this thread's metric journal."""
-    _DRAIN_SINK.journal = journal
-
 #: Default histogram bucket upper bounds (seconds-ish, log-spaced).
 DEFAULT_BUCKETS = (
     1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, float("inf")
@@ -57,12 +42,8 @@ class Counter:
     name: str
     value: float = 0.0
 
-    def add(self, amount: float = 1.0) -> None:  # repro: effect=journaled
-        journal = getattr(_DRAIN_SINK, "journal", None)
-        if journal is None:
-            self.value += amount
-        else:
-            journal.metric_op("cadd", self, amount)
+    def add(self, amount: float = 1.0) -> None:
+        self.value += amount
 
 
 @dataclass
@@ -72,28 +53,16 @@ class Gauge:
     name: str
     value: float = 0.0
 
-    def set(self, value: float) -> None:  # repro: effect=journaled
-        journal = getattr(_DRAIN_SINK, "journal", None)
-        if journal is None:
-            self.value = value
-        else:
-            journal.metric_op("gset", self, value)
+    def set(self, value: float) -> None:
+        self.value = value
 
-    def add(self, amount: float = 1.0) -> None:  # repro: effect=journaled
-        journal = getattr(_DRAIN_SINK, "journal", None)
-        if journal is None:
-            self.value += amount
-        else:
-            journal.metric_op("gadd", self, amount)
+    def add(self, amount: float = 1.0) -> None:
+        self.value += amount
 
-    def max(self, value: float) -> None:  # repro: effect=journaled
+    def max(self, value: float) -> None:
         """Keep the running maximum (peak-tracking gauges)."""
-        journal = getattr(_DRAIN_SINK, "journal", None)
-        if journal is None:
-            if value > self.value:
-                self.value = value
-        else:
-            journal.metric_op("gmax", self, value)
+        if value > self.value:
+            self.value = value
 
 
 @dataclass
@@ -112,11 +81,7 @@ class Histogram:
         if not self.counts:
             self.counts = [0] * len(self.buckets)
 
-    def observe(self, value: float) -> None:  # repro: effect=journaled
-        journal = getattr(_DRAIN_SINK, "journal", None)
-        if journal is not None:
-            journal.metric_op("hobs", self, value)
-            return
+    def observe(self, value: float) -> None:
         self.total += value
         self.count += 1
         for i, bound in enumerate(self.buckets):
@@ -169,13 +134,9 @@ class TimeSeries:
     times: list[float] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
 
-    def observe(self, time: float, value: float) -> None:  # repro: effect=journaled
-        journal = getattr(_DRAIN_SINK, "journal", None)
-        if journal is None:
-            self.times.append(time)
-            self.values.append(value)
-        else:
-            journal.metric_op("tobs", self, (time, value))
+    def observe(self, time: float, value: float) -> None:
+        self.times.append(time)
+        self.values.append(value)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -222,11 +183,13 @@ class MetricsRegistry:
         # compatibility: SimCluster and tests read ``registry.counters``).
         self.counters: dict[str, Counter] = {}
         self._families: dict[str, _Family] = {}
-        # Guards family/child *creation* only. Parallel drain workers may
-        # race to materialise the same labeled child; without the lock two
-        # Counter objects could exist for one key and journaled mutations
-        # on the loser would be lost. Reads stay lock-free (dict.get is
-        # atomic) and snapshots sort, so creation order never leaks.
+        # Guards family/child *creation* only. The query service shares
+        # one registry between its event-loop thread and its worker
+        # threads, which may race to materialise the same labeled child;
+        # without the lock two Counter objects could exist for one key and
+        # increments on the loser would be lost. Reads stay lock-free
+        # (dict.get is atomic) and snapshots sort, so creation order never
+        # leaks.
         self._create_lock = threading.Lock()
 
     # -- family plumbing -----------------------------------------------------

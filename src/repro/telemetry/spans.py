@@ -20,26 +20,10 @@ off (the bench gate pins this at <= 2% harness overhead).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigError
-
-#: Thread-local drain journal (see :mod:`repro.telemetry.metrics`): while
-#: a parallel drain window executes, worker-thread ``record`` calls are
-#: journaled and replayed on the coordinator in global event order, so
-#: span ids stay allocation-ordered exactly as the sequential engine
-#: would have handed them out. ``open``/``close`` are coordinator-only
-#: (they brace driver-level phases, never event callbacks) and refuse to
-#: run on a worker — an id allocated out of order would corrupt every
-#: later parent reference.
-_DRAIN_SINK = threading.local()
-
-
-def set_drain_sink(journal: Any) -> None:
-    """Install (or with ``None`` clear) this thread's span journal."""
-    _DRAIN_SINK.journal = journal
 
 
 @dataclass(slots=True)
@@ -99,12 +83,6 @@ class SpanRecorder:
     def open(self, name: str, category: str, parent: int | None = None,
              **attrs: Any) -> int:
         """Allocate a span id now; times arrive at :meth:`close`."""
-        if getattr(_DRAIN_SINK, "journal", None) is not None:
-            raise ConfigError(
-                f"span {name!r} opened from a parallel drain worker — "
-                "open/close spans are coordinator-only; event callbacks "
-                "must use record(), which journals"
-            )
         if parent is not None and parent >= 0:
             if not 0 <= parent < len(self.spans):
                 raise ConfigError(f"unknown parent span {parent}")
@@ -118,11 +96,6 @@ class SpanRecorder:
     def close(self, span_id: int, start: float, finish: float, **attrs: Any) -> None:
         if span_id < 0:
             return
-        if getattr(_DRAIN_SINK, "journal", None) is not None:
-            raise ConfigError(
-                f"span {span_id} closed from a parallel drain worker — "
-                "open/close spans are coordinator-only"
-            )
         span = self.spans[span_id]
         if finish < start:
             raise ConfigError(
@@ -137,17 +110,7 @@ class SpanRecorder:
 
     def record(self, name: str, category: str, start: float, finish: float,
                parent: int | None = None, **attrs: Any) -> int:
-        """Open and close in one call (for windows already known).
-
-        On a parallel drain worker the span is journaled and its id is
-        allocated later, at coordinator replay in global event order; the
-        provisional ``-1`` return is safe because retrospective callers
-        never parent other spans under a recorded leaf.
-        """
-        journal = getattr(_DRAIN_SINK, "journal", None)
-        if journal is not None:
-            journal.span_op(self, name, category, start, finish, parent, attrs)
-            return -1
+        """Open and close in one call (for windows already known)."""
         span_id = self.open(name, category, parent=parent, **attrs)
         self.close(span_id, start, finish)
         return span_id

@@ -1,9 +1,9 @@
 """Seed for REP204: effect declarations the bodies contradict.
 
 One finding per shape: a ``pure`` function that stores through an
-attribute, a ``journaled`` function that never touches the journal, a
-``locked:`` function that does not acquire the named lock, and an
-effect comment naming an unknown spec.
+attribute, a ``pure`` function that takes a lock, a ``locked:`` function
+that does not acquire the named lock, and an effect comment naming an
+unknown spec.
 """
 
 import threading
@@ -22,9 +22,10 @@ class Ledger:
         self.total += amount
         return self.total
 
-    def tally(self, amount):  # repro: effect=journaled
-        # SEED REP204: declared journaled, never touches the journal.
-        return self.total + amount
+    def tally(self, amount):  # repro: effect=pure
+        # SEED REP204: declared pure, acquires a lock.
+        with self._lock:
+            return self.total + amount
 
     @effects("locked:Ledger._lock")
     def peek(self):

@@ -1,7 +1,7 @@
 """Deliberately nondeterministic module — every lint rule fires here.
 
 Never imported; linted by tests/test_sanitizers_lint.py with the
-``sim-core`` scope forced (REP101-REP107) and again with the ``service``
+``sim-core`` scope forced (REP101-REP106) and again with the ``service``
 scope (REP108), to prove ``repro lint`` rejects each hazard class and
 exits nonzero.
 """
@@ -42,14 +42,6 @@ def smuggle_event(engine, fn) -> None:
     # REP106: pushing straight into a partition lane bypasses the
     # channel API's lookahead validation and drain-bound update.
     heapq.heappush(engine._lanes[1], [0.0, 0, fn, ()])
-
-
-class LaneCallback:
-    def on_message(self, count: int) -> None:
-        # REP107: mutating shared cluster state from a compute-lane
-        # callback bypasses the drain journal; parallel drain workers
-        # race on the read-modify-write.
-        self.cluster.records_sent += count
 
 
 def rogue_query(edges):

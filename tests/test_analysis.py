@@ -23,7 +23,6 @@ from repro.analysis import (
     parse_effect_comment,
     write_baseline,
 )
-from repro.analysis.drain import reachable_from_roots
 from repro.analysis.lockorder import LockEdge, analyze_locks, find_lock_cycles
 from repro.cli import main
 from repro.sanitizers import lint_source
@@ -42,17 +41,7 @@ def test_corpus_trips_every_interprocedural_rule():
     report = corpus_report()
     assert not report.ok
     rules = {f.rule for f in report.findings}
-    assert rules == {"REP201", "REP202", "REP203", "REP204"}
-
-
-def test_corpus_drain_violation_reports_call_chain():
-    report = corpus_report()
-    rep201 = [f for f in report.findings if f.rule == "REP201"]
-    assert len(rep201) == 1
-    (finding,) = rep201
-    assert finding.function == "pipeline.Relay._bump"
-    assert finding.chain == ("pipeline.Relay._deliver", "pipeline.Relay._bump")
-    assert ".engine" in finding.message
+    assert rules == {"REP202", "REP203", "REP204"}
 
 
 def test_corpus_lock_cycle_names_both_edges():
@@ -78,8 +67,8 @@ def test_corpus_effect_mismatches_all_four_shapes():
     rep204 = [f for f in report.findings if f.rule == "REP204"]
     assert len(rep204) == 4
     messages = " | ".join(f.message for f in rep204)
-    assert "declared pure" in messages
-    assert "declared journaled" in messages
+    assert "declared pure but stores" in messages
+    assert "declared pure but acquires a lock" in messages
     assert "declared locked:Ledger._lock" in messages
     assert "unknown effect 'frozen'" in messages
 
@@ -95,12 +84,8 @@ def test_finding_ids_stable_across_runs():
 def test_finding_id_survives_line_shifts(tmp_path):
     src = (
         "class Relay:\n"
-        "    def _deliver(self, src, dst, msg):\n"
-        "        self._bump(msg)\n"
-        "    def _bump(self, msg):\n"
-        "        self.engine.delivered += 1\n"
-        "def install(engine):\n"
-        "    engine.register_delivery(Relay._deliver)\n"
+        "    def _bump(self, msg):  # repro: effect=pure\n"
+        "        self.delivered += 1\n"
     )
     p1 = tmp_path / "mod.py"
     p1.write_text(src)
@@ -131,14 +116,13 @@ def test_repo_sources_analyze_clean():
     assert report.functions > 500
 
 
-def test_repo_drain_roots_resolved():
-    graph = build_callgraph([SRC])
-    roots = set(graph.roots)
-    # The cluster delivery/injection hooks registered by attach_cluster.
+def test_repo_route_roots_resolved():
+    roots = set(build_callgraph([SRC]).roots)
+    # The cluster delivery/injection hooks registered by attach_cluster,
+    # and the reliable transport's delivery hook registered by the driver.
     assert "repro.network.simmpi.SimCluster._deliver" in roots
     assert "repro.network.simmpi.SimCluster._inject" in roots
-    chains = reachable_from_roots(graph)
-    assert len(chains) > len(roots)
+    assert "repro.resilience.channel.ReliableChannel._deliver" in roots
 
 
 def test_repo_lock_pass_finds_catalog_kernel_edge_and_no_cycles():
@@ -174,7 +158,7 @@ def test_baseline_round_trip(tmp_path):
 
 
 def test_stale_baseline_entries_reported(tmp_path):
-    baseline = {"deadbeef0000": {"id": "deadbeef0000", "rule": "REP201"}}
+    baseline = {"deadbeef0000": {"id": "deadbeef0000", "rule": "REP202"}}
     report = analyze_paths([CORPUS], baseline=baseline)
     assert report.stale_baseline == ("deadbeef0000",)
 
@@ -186,12 +170,12 @@ def test_committed_baseline_is_empty():
 
 # --- effect annotation plumbing -----------------------------------------------
 def test_effects_decorator_stamps_and_validates():
-    @effects("journaled", "locked:MetricsRegistry._create_lock")
+    @effects("pure", "locked:MetricsRegistry._create_lock")
     def fn():
         pass
 
     assert declared_effects(fn) == (
-        "journaled",
+        "pure",
         "locked:MetricsRegistry._create_lock",
     )
     with pytest.raises(ValueError):
@@ -201,18 +185,16 @@ def test_effects_decorator_stamps_and_validates():
 def test_effect_comment_parsing():
     assert parse_effect_comment("def f():  # repro: effect=pure") == ("pure",)
     assert parse_effect_comment(
-        "def f():  # repro: effect=journaled, locked:A._lock"
-    ) == ("journaled", "locked:A._lock")
+        "def f():  # repro: effect=pure, locked:A._lock"
+    ) == ("pure", "locked:A._lock")
     assert parse_effect_comment("def f():") == ()
 
 
 def test_noqa_suppresses_analysis_finding(tmp_path):
     src = (
         "class Relay:\n"
-        "    def _deliver(self, src, dst, msg):\n"
-        "        self.engine.delivered += 1  # repro: noqa[REP201]\n"
-        "def install(engine):\n"
-        "    engine.register_delivery(Relay._deliver)\n"
+        "    def _bump(self):  # repro: effect=pure  # repro: noqa[REP204]\n"
+        "        self.delivered += 1\n"
     )
     p = tmp_path / "mod.py"
     p.write_text(src)
@@ -306,7 +288,7 @@ def test_cli_analyze_nonzero_on_corpus(capsys):
     rc = main(["analyze", "--no-baseline", CORPUS, "--format", "json"])
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc["counts"]) == {"REP201", "REP202", "REP203", "REP204"}
+    assert set(doc["counts"]) == {"REP202", "REP203", "REP204"}
 
 
 def test_cli_analyze_write_baseline_then_clean(tmp_path, capsys):
@@ -326,9 +308,7 @@ def test_cli_analyze_sarif_output(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
     results = doc["runs"][0]["results"]
-    assert {r["ruleId"] for r in results} == {
-        "REP201", "REP202", "REP203", "REP204",
-    }
+    assert {r["ruleId"] for r in results} == {"REP202", "REP203", "REP204"}
     rule_ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
     assert rule_ids == sorted(ANALYSIS_RULES)
 

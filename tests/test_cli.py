@@ -28,7 +28,7 @@ def test_graph500_partition_report(capsys):
     rc = main(
         ["graph500", "--scale", "8", "--nodes", "4", "--roots", "2",
          "--super-node", "2", "--engine-partitions", "2",
-         "--drain-workers", "2", "--partition-report"]
+         "--partition-report"]
     )
     assert rc == 0
     out = capsys.readouterr().out
@@ -37,7 +37,6 @@ def test_graph500_partition_report(capsys):
     assert "per-lane loads" in out
     assert "drain-run length histogram" in out
     assert "cross-partition channels" in out
-    assert "drain_workers=2" in out
 
 
 def test_graph500_partition_report_unpartitioned(capsys):
@@ -47,16 +46,6 @@ def test_graph500_partition_report_unpartitioned(capsys):
     )
     assert rc == 0
     assert "engine ran unpartitioned" in capsys.readouterr().out
-
-
-def test_sanitize_drain_worker_cycle(capsys):
-    rc = main(
-        ["sanitize", "--scale", "8", "--nodes", "4", "--roots", "1",
-         "--runs", "2", "--no-validate", "--engine-partitions", "2",
-         "--drain-workers", "1,2"]
-    )
-    assert rc == 0
-    assert "deterministic" in capsys.readouterr().out.lower()
 
 
 def test_fig11_prints_crashes(capsys):

@@ -55,22 +55,6 @@ def test_variant_selection():
 def test_runner_validation():
     with pytest.raises(ConfigError):
         Graph500Runner(scale=10, nodes=0)
-    with pytest.raises(ConfigError):
-        Graph500Runner(scale=10, nodes=4, drain_workers=0)
-    with pytest.raises(ConfigError):
-        Graph500Runner(scale=10, nodes=4, drain_backend="gpu")
-
-
-def test_parallel_drain_run_matches_serial_and_reports():
-    kw = dict(scale=8, nodes=4, seed=3, config=CFG, nodes_per_super_node=2,
-              engine_partitions=2)
-    serial = Graph500Runner(**kw).run(num_roots=2)
-    runner = Graph500Runner(**kw, drain_workers=2)
-    parallel = runner.run(num_roots=2)
-    assert parallel.all_validated
-    assert [r.seconds for r in parallel.runs] == [r.seconds for r in serial.runs]
-    assert runner.partition_report is not None
-    assert runner.partition_report["drain_workers"] == 2
 
 
 def test_run_destroys_shared_segment_on_failure(monkeypatch):

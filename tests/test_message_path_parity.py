@@ -15,7 +15,6 @@ operations are order-independent; any reassociation would show up as a
 failed ``==`` long before it showed up as a wrong traversal.
 """
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -450,7 +449,6 @@ def _run_partitioned(
     nodes,
     partitions,
     batch=True,
-    overrides=None,
     resilience=None,
     roots=(1, 5),
     nps=None,
@@ -461,7 +459,6 @@ def _run_partitioned(
         variant_config(variant),
         batch_messages=batch,
         engine_partitions=partitions,
-        **(overrides or {}),
     )
     bfs = DistributedBFS(
         edges, nodes, config=cfg, resilience=resilience,
@@ -584,104 +581,6 @@ def test_partitioned_telemetry_span_parity():
         for pa, pb in zip(base[0], other[0]):
             assert np.array_equal(pa, pb)
         assert base[1:] == other[1:]
-
-
-# --- parallel drain parity: worker pools vs the serial drain loop ------------
-@pytest.mark.parametrize("variant", ["relay-cpe", "direct-cpe", "relay-mpe"])
-@pytest.mark.parametrize("drain_workers", [1, 2, 4])
-def test_parallel_drain_traversal_parity(variant, drain_workers):
-    """The parallel drain scheduler must be invisible in every observable:
-    journals merged in (when, seq) order reproduce the serial engine's
-    parents, sim_seconds, per-run stats and cluster stats bit-exactly at
-    any worker count."""
-    from repro.sim.partition import PartitionedEngine
-
-    _, sequential = _run_partitioned(variant, 16, 1)
-    bfs, parallel = _run_partitioned(
-        variant, 16, 4, overrides={"drain_workers": drain_workers}
-    )
-    assert isinstance(bfs.engine, PartitionedEngine)
-    _assert_identical(sequential, parallel)
-    report = bfs.engine.partition_report()
-    assert report["drain_workers"] == drain_workers
-    if drain_workers > 1:
-        # The pool really ran: no fallback reason, windows dispatched.
-        assert report["parallel_fallback"] is None
-        assert report["parallel_windows"] > 0
-
-
-def test_parallel_drain_scalar_sends():
-    """batch_messages=False exercises per-message call_at journaling."""
-    _, sequential = _run_partitioned("relay-cpe", 16, 1, batch=False)
-    bfs, parallel = _run_partitioned(
-        "relay-cpe", 16, 4, batch=False, overrides={"drain_workers": 2}
-    )
-    _assert_identical(sequential, parallel)
-    assert bfs.engine.partition_report()["parallel_fallback"] is None
-
-
-def test_parallel_drain_process_backend():
-    """Forked drain workers ship journals and lane state through the
-    symbolic codec; results must still be bit-identical."""
-    if not hasattr(os, "fork"):
-        pytest.skip("process drain backend needs os.fork")
-    _, sequential = _run_partitioned("relay-cpe", 16, 1)
-    bfs, parallel = _run_partitioned(
-        "relay-cpe", 16, 4,
-        overrides={"drain_workers": 2, "drain_backend": "process"},
-    )
-    _assert_identical(sequential, parallel)
-    report = bfs.engine.partition_report()
-    assert report["drain_backend"] == "process"
-    assert report["parallel_fallback"] is None
-    assert report["parallel_windows"] > 0
-
-
-def test_parallel_drain_telemetry_span_parity():
-    """Spans recorded inside worker drains land in the journal and must
-    replay to the exact serial span list, metrics, and busy intervals."""
-    from repro.telemetry import Telemetry
-
-    edges = _edges()
-    captured = []
-    for drain_workers in (1, 2, 4):
-        cfg = replace(
-            variant_config("relay-cpe"),
-            batch_messages=True,
-            engine_partitions=4,
-            drain_workers=drain_workers,
-        )
-        tel = Telemetry()
-        bfs = DistributedBFS(edges, 16, config=cfg, telemetry=tel)
-        results = [bfs.run(r) for r in (1, 5)]
-        captured.append(
-            (
-                [r.parent.copy() for r in results],
-                [r.sim_seconds for r in results],
-                tel.metrics.snapshot(),
-                tel.intervals(),
-                _span_rows(tel),
-            )
-        )
-    base = captured[0]
-    for other in captured[1:]:
-        for pa, pb in zip(base[0], other[0]):
-            assert np.array_equal(pa, pb)
-        assert base[1:] == other[1:]
-
-
-def test_parallel_drain_reliable_transport_falls_back_serial():
-    """The reliable transport shares retransmit state across lanes, so
-    the engine must refuse to parallelize — and still match exactly."""
-    res = ResilienceConfig(reliable_transport=True)
-    _, sequential = _run_partitioned("relay-cpe", 16, 1, resilience=res)
-    bfs, parallel = _run_partitioned(
-        "relay-cpe", 16, 2, resilience=res, overrides={"drain_workers": 2}
-    )
-    _assert_identical(sequential, parallel)
-    report = bfs.engine.partition_report()
-    assert report["parallel_windows"] == 0
-    assert "retransmit" in report["parallel_fallback"]
 
 
 def test_partition_report_not_in_cluster_stats():

@@ -121,40 +121,6 @@ def test_rep105_hot_dataclass_without_slots():
     assert "AckMessage" in report.findings[0].message
 
 
-def test_rep107_store_through_engine_handle_flagged():
-    src = (
-        "self.engine.t_max = t\n"
-        "node.cluster.records += n\n"
-        "engine._drains[0] = 1\n"
-    )
-    report = lint_source(src, path="src/repro/core/x.py")
-    assert [f.rule for f in report.findings] == ["REP107"] * 3
-
-
-def test_rep107_journal_and_local_state_clean():
-    src = (
-        "journal.fold_add(self, '_records_sent', n)\n"
-        "self._t_max = t\n"          # own-object state is lane-local
-        "engine = make_engine()\n"   # rebinding the name is not a store
-        "x = self.engine.now\n"      # reads are fine
-        "self.engine.call_at(t, fn)\n"
-    )
-    assert lint_source(src, path="src/repro/core/x.py").ok
-
-
-def test_rep107_partition_and_faults_modules_exempt():
-    src = "self.engine.seq = 1\n"
-    assert lint_source(src, path="src/repro/sim/partition.py").ok
-    assert lint_source(src, path="src/repro/sim/faults.py").ok
-    report = lint_source(src, path="src/repro/sim/engine.py")
-    assert rules_hit(report) == {"REP107"}
-
-
-def test_rep107_only_in_sim_core_scope():
-    src = "self.engine.telemetry = tel\n"
-    assert lint_source(src, path="src/repro/telemetry/x.py").ok
-
-
 def test_rep108_kernel_construction_in_service_flagged():
     for call in (
         "make_variant('relay-cpe', e, 4)",

@@ -183,17 +183,6 @@ def test_check_determinism_passes_small_scale():
     assert "deterministic across 2 run(s)" in result.render()
 
 
-def test_check_determinism_cycles_drain_workers():
-    """drain_workers=[1, 2] at a fixed partition count proves the
-    parallel drain digest-identical to the serial drain loop."""
-    result = check_determinism(
-        scale=8, nodes=4, num_roots=1, runs=2,
-        engine_partitions=2, drain_workers=[1, 2],
-    )
-    assert result.ok, result.render()
-    assert result.digests[0] == result.digests[1]
-
-
 def test_determinism_report_flags_mismatch():
     result = check_determinism(scale=8, nodes=2, num_roots=1, runs=2)
     result.digests[1].spans = "0" * 64

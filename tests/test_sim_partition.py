@@ -332,6 +332,125 @@ def test_partitioned_engine_rejects_zero_partitions():
         PartitionedEngine(0)
 
 
+# --- drain edge cases: executed order equals the plain Engine's ---------------
+class _Msg:
+    """Minimal message shape for lane classification; ``seq`` is the
+    handle its delivery event was scheduled under."""
+
+    __slots__ = ("src", "dst", "send_time", "seq")
+
+    def __init__(self, src, dst, send_time=0.0):
+        self.src = src
+        self.dst = dst
+        self.send_time = send_time
+        self.seq = -1
+
+
+def _executed_order(engine, script):
+    """Run ``script(schedule)`` and return the executed ``(when, seq,
+    node)`` trace. ``schedule(when, node)`` schedules a delivery to
+    ``node``; on the partitioned engine the callback is a registered
+    delivery route, so it lands on that node's compute lane."""
+    trace = []
+
+    def deliver(msg):
+        trace.append((engine.now, msg.seq, msg.dst))
+
+    if isinstance(engine, PartitionedEngine):
+        _cluster_on(engine)
+        engine.register_delivery(deliver)
+
+    def schedule(when, node):
+        msg = _Msg(node, node)
+        msg.seq = engine.call_at(when, deliver, msg)
+
+    script(schedule)
+    engine.run()
+    assert len(engine) == 0
+    return trace
+
+
+def _cluster_on(engine, num_nodes=16, nps=4):
+    cluster = SimCluster(engine, num_nodes, nodes_per_super_node=nps)
+    if isinstance(engine, PartitionedEngine):
+        engine.attach_cluster(cluster)
+    return cluster
+
+
+def _assert_order_matches_engine(script):
+    engine = PartitionedEngine(2)
+    trace = _executed_order(engine, script)
+    assert trace == _executed_order(Engine(), script)
+    return trace, engine
+
+
+def test_simultaneous_lane_heads_run_in_schedule_order():
+    """Heads on both compute lanes at one timestamp: the drain bound
+    compares ``(when, seq)``, so the smaller handle runs first whichever
+    lane holds it."""
+
+    def lane1_first(schedule):
+        schedule(1e-6, 8)  # lane 1, seq 0
+        schedule(1e-6, 0)  # lane 0, seq 1
+
+    trace, _ = _assert_order_matches_engine(lane1_first)
+    assert trace == [(1e-6, 0, 8), (1e-6, 1, 0)]
+
+
+def test_simultaneous_lane_heads_tie_after_a_run():
+    """A run on one lane ends at a timestamp where three heads tie across
+    both lanes: schedule order breaks the tie."""
+
+    def tie_after_a_run(schedule):
+        schedule(1e-6, 0)  # lane 0 runs alone first
+        schedule(2e-6, 1)  # then three heads tie at 2us across both lanes
+        schedule(2e-6, 8)
+        schedule(2e-6, 9)
+
+    trace, _ = _assert_order_matches_engine(tie_after_a_run)
+    assert [(when, node) for when, _, node in trace] == [
+        (1e-6, 0), (2e-6, 1), (2e-6, 8), (2e-6, 9),
+    ]
+
+
+def test_empty_compute_lane_with_pending_fabric_events():
+    """A lane with no work must not stall the drain loop while the
+    fabric still holds admissions destined for it."""
+
+    def arrivals(engine):
+        cluster = _cluster_on(engine)
+        got = []
+        for rank in range(16):
+            cluster.register(rank, lambda msg, r=rank: got.append((engine.now, r)))
+        cluster.send(0, 9, "t", 64)  # rides the fabric into empty lane 1
+        engine.run()
+        assert len(engine) == 0
+        return got, engine.events_executed
+
+    engine = PartitionedEngine(2)
+    got, events = arrivals(engine)
+    assert (got, events) == arrivals(Engine())
+    assert [r for _, r in got] == [9]
+    report = engine.partition_report()
+    assert report["lane_events"]["fabric"] >= 1
+    assert report["lane_events"]["compute"][1] >= 1
+
+
+def test_drain_histogram_buckets_by_run_length():
+    def script(schedule):
+        # One run of 3 events on lane 0 (all below lane 1's head), then 1.
+        for i in range(3):
+            schedule(1e-6 + i * 1e-10, 0)
+        schedule(1e-3, 8)
+
+    _, engine = _assert_order_matches_engine(script)
+    report = engine.partition_report()
+    hist = report["drain_run_hist"]
+    assert hist.get("2-3") == 1  # the 3-event run
+    assert hist.get("1") == 1    # the singleton run
+    assert sum(hist.values()) == report["drains"]
+
+
 # --- stats: merge_counters -----------------------------------------------------
 def test_merge_counters_folds_child_counts():
     parent, child = StatsRegistry(), StatsRegistry()

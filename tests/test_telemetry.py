@@ -8,7 +8,8 @@ benchmark run.
 """
 
 import json
-import warnings
+import sys
+import threading
 
 import pytest
 
@@ -110,6 +111,46 @@ def test_histogram_buckets_and_mean():
     with pytest.raises(ConfigError, match="ascend"):
         reg.histogram("bad", buckets=(1.0, 0.5))
     assert DEFAULT_BUCKETS[-1] == float("inf")
+
+
+def test_concurrent_child_creation_yields_one_child_per_key():
+    # The query service shares one registry between its event-loop thread
+    # and its worker threads. Every thread races to create each "shared"
+    # child in lockstep and owns one "own" child; a creation race that
+    # forked a key into two children would drop the loser's increments.
+    reg = MetricsRegistry()
+    threads, rounds = 8, 300
+    barrier = threading.Barrier(threads)
+    seen: list[list[object]] = [[] for _ in range(threads)]
+
+    def work(i: int) -> None:
+        barrier.wait(timeout=30)
+        for r in range(rounds):
+            child = reg.counter("x", tenant=f"shared{r}")
+            child.add()
+            seen[i].append(child)
+            reg.counter("x", tenant=f"own{i}").add()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+
+    children = reg._families["x"].children
+    assert len(children) == rounds + threads
+    for r in range(rounds):
+        child = children[(f"shared{r}",)]
+        assert all(seen[i][r] is child for i in range(threads))
+        assert child.value == threads
+    for i in range(threads):
+        assert reg.value("x", tenant=f"own{i}") == rounds
 
 
 # --- spans -------------------------------------------------------------------
@@ -311,23 +352,6 @@ def test_summary_csv_and_markdown_shapes():
     assert row.split(",")[0] == "3"
     md = summary_markdown(report)
     assert "| root |" in md and "within 1%: True" in md
-
-
-# --- deprecated shim ----------------------------------------------------------
-def test_utils_trace_shim_warns_and_reexports(capsys):
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.utils.trace", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mod = importlib.import_module("repro.utils.trace")
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    from repro.telemetry import export
-
-    assert mod.enable_tracing is export.enable_tracing
-    assert mod.collect_intervals is export.collect_intervals
-    assert mod.to_chrome_trace is export.to_chrome_trace
 
 
 # --- facade + kernel integration ----------------------------------------------
