@@ -15,12 +15,6 @@ Run as a script::
 or let pytest exercise the tiny smoke configuration. ``--max-regression``
 turns the run into a gate: if a (scale, nodes, roots, workers) point in
 the existing JSON got slower by more than the given fraction, exit 1.
-
-``--mode kernel-scaling`` sweeps the partitioned event engine instead:
-one kernel-only timing per ``engine_partitions`` point (default 1, 2, 4)
-at each scale, with a ``speedup_vs_1`` column relative to the sequential
-engine. Scaling rows carry ``mode: kernel-scaling`` so they key
-separately from phase rows in the regression gate.
 """
 
 from __future__ import annotations
@@ -42,7 +36,6 @@ def time_phases(
     roots: int,
     workers: int = 1,
     seed: int = 1,
-    engine_partitions: int = 1,
 ) -> dict:
     """One benchmark run, phase by phase; wall-clock seconds per phase."""
     import numpy as np
@@ -61,14 +54,9 @@ def time_phases(
 
     root_list = [int(r) for r in sample_roots(edges, roots, seed=seed)]
 
-    config = None
-    if engine_partitions != 1:
-        from repro.core.config import BFSConfig
-
-        config = BFSConfig(engine_partitions=engine_partitions)
     t0 = time.perf_counter()
     graph = CSRGraph.from_edges(edges)
-    bfs = make_variant("relay-cpe", edges, nodes, graph=graph, config=config)
+    bfs = make_variant("relay-cpe", edges, nodes, graph=graph)
     phases["construct"] = time.perf_counter() - t0
 
     kernel = validate = 0.0
@@ -114,7 +102,6 @@ def time_phases(
         "nodes": nodes,
         "roots": roots,
         "workers": workers,
-        "engine_partitions": engine_partitions,
         "phases": {k: round(v, 4) for k, v in phases.items()},
         "events_executed": events_executed,
         "messages_per_sec": (
@@ -126,76 +113,6 @@ def time_phases(
     }
 
 
-def time_kernel_scaling(
-    scale: int,
-    nodes: int,
-    roots: int,
-    partitions_list: list[int],
-    seed: int = 1,
-) -> list[dict]:
-    """Sweep ``engine_partitions``; kernel wall-clock.
-
-    Validation is skipped — this mode times the PDES kernel — but parents
-    are checked bit-identical across the sweep, so a scaling run doubles
-    as a parity check. ``speedup_vs_1`` is relative to the sweep's
-    ``engine_partitions=1`` entry (or the first entry if that point is
-    absent).
-    """
-    import numpy as np
-
-    from repro.baselines import make_variant
-    from repro.core.config import BFSConfig
-    from repro.graph.csr import CSRGraph
-    from repro.graph.kronecker import KroneckerGenerator
-    from repro.graph500.roots import sample_roots
-
-    edges = KroneckerGenerator(scale, 16, seed=seed).generate()
-    root_list = [int(r) for r in sample_roots(edges, roots, seed=seed)]
-    graph = CSRGraph.from_edges(edges)
-
-    entries: list[dict] = []
-    baseline_kernel = None
-    baseline_parents = None
-    for partitions in partitions_list:
-        config = BFSConfig(engine_partitions=partitions)
-        bfs = make_variant("relay-cpe", edges, nodes, graph=graph, config=config)
-        events_before = bfs.engine.events_executed
-        kernel = 0.0
-        parents = []
-        for root in root_list:
-            t0 = time.perf_counter()
-            result = bfs.run(root)
-            kernel += time.perf_counter() - t0
-            parents.append(result.parent.copy())
-        if baseline_parents is None or partitions == 1:
-            baseline_parents = parents
-            baseline_kernel = kernel
-        else:
-            for a, b in zip(baseline_parents, parents):
-                if not np.array_equal(a, b):
-                    raise AssertionError(
-                        f"engine_partitions={partitions} diverged from the "
-                        f"sweep baseline at scale {scale}"
-                    )
-        entries.append({
-            "mode": "kernel-scaling",
-            "scale": scale,
-            "nodes": nodes,
-            "roots": roots,
-            "workers": 1,
-            "engine_partitions": partitions,
-            "phases": {
-                "kernel": round(kernel, 4),
-                "total": round(kernel, 4),
-            },
-            "events_executed": bfs.engine.events_executed - events_before,
-            "speedup_vs_1": (
-                round(baseline_kernel / kernel, 3) if kernel > 0 else None
-            ),
-        })
-    return entries
-
-
 def _point_key(entry: dict) -> tuple:
     return (
         entry.get("mode", "phases"),
@@ -203,7 +120,6 @@ def _point_key(entry: dict) -> tuple:
         entry["nodes"],
         entry["roots"],
         entry["workers"],
-        entry.get("engine_partitions", 1),
     )
 
 
@@ -236,14 +152,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--roots", type=int, default=8)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--mode", choices=("phases", "kernel-scaling"),
-                        default="phases",
-                        help="phases: full phase breakdown; kernel-scaling: "
-                             "sweep --engine-partitions, kernel time only")
-    parser.add_argument("--engine-partitions", type=int, action="append",
-                        help="repeatable; kernel-scaling sweep values "
-                             "(default: 1 2 4). In phases mode the first "
-                             "value configures the engine (default 1)")
     parser.add_argument("--output", default=str(DEFAULT_OUTPUT))
     parser.add_argument("--max-regression", type=float, default=None,
                         help="fail if a matching point's total slowed by more "
@@ -259,25 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError:
             previous = None
 
-    partitions_list = args.engine_partitions or [1, 2, 4]
-
     results = []
     for scale in scales:
-        if args.mode == "kernel-scaling":
-            sweep = time_kernel_scaling(
-                scale, args.nodes, args.roots, partitions_list,
-                seed=args.seed,
-            )
-            results.extend(sweep)
-            for entry in sweep:
-                print(f"scale {scale} nodes {args.nodes} roots {args.roots} "
-                      f"partitions {entry['engine_partitions']}: "
-                      f"kernel={entry['phases']['kernel']:.3f}s "
-                      f"speedup_vs_1={entry['speedup_vs_1']}")
-            continue
         entry = time_phases(
             scale, args.nodes, args.roots, workers=args.workers,
-            seed=args.seed, engine_partitions=partitions_list[0],
+            seed=args.seed,
         )
         results.append(entry)
         phases = " ".join(f"{k}={v:.3f}s" for k, v in entry["phases"].items())
@@ -290,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # A run only re-measures its own points; carry forward the latest row
     # for every other point so results stays the union of freshest rows
-    # (a kernel-scaling run must not evict the phase rows, or vice versa).
+    # (a phase run must not evict the service rows, or vice versa).
     if previous is not None:
         measured = {_point_key(e) for e in results}
         results = [
@@ -346,26 +240,6 @@ def test_harness_wallclock_smoke(save_report):
     save_report(
         "harness_wallclock_smoke",
         json.dumps(entry, indent=2),
-    )
-
-
-def test_kernel_scaling_smoke(save_report):
-    """Pytest smoke: the scaling sweep runs, keys distinctly, agrees."""
-    sweep = time_kernel_scaling(
-        scale=8, nodes=4, roots=2, partitions_list=[1, 2]
-    )
-    assert [e["engine_partitions"] for e in sweep] == [1, 2]
-    assert all(e["mode"] == "kernel-scaling" for e in sweep)
-    assert all(e["phases"]["kernel"] > 0 for e in sweep)
-    assert all(e["events_executed"] > 0 for e in sweep)
-    assert sweep[0]["speedup_vs_1"] == 1.0
-    # Scaling rows must not collide with phase rows in the gate.
-    keys = {_point_key(e) for e in sweep}
-    keys.add(_point_key(time_phases(scale=8, nodes=4, roots=2)))
-    assert len(keys) == 3
-    save_report(
-        "harness_kernel_scaling_smoke",
-        json.dumps(sweep, indent=2),
     )
 
 

@@ -15,12 +15,6 @@ One parse per file, two derived structures:
   name). Over-approximating the callee set can only widen reachability —
   the safe direction for a safety analysis.
 
-The builder also records the **dynamic route tables** of the partitioned
-engine: every argument of a ``register_delivery(...)`` /
-``register_injection(...)`` call is resolved and returned as a route
-root — the entry points whose events the engine dispatches onto its
-compute and fabric lanes (:mod:`repro.sim.partition`).
-
 Known limitation (documented in docs/static-analysis.md): calls through
 containers (``self._handlers[dst](msg)``) are invisible to the AST.
 """
@@ -33,9 +27,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.effects import parse_effect_comment
 from repro.sanitizers.determinism import iter_python_files
-
-#: Engine methods whose call arguments are lane-routed entry points.
-ROUTE_REGISTRARS = frozenset({"register_delivery", "register_injection"})
 
 #: Ubiquitous builtin container/str method names, excluded from the
 #: name-based fallback: an unresolvable ``self._entries.get(...)`` is a
@@ -117,8 +108,6 @@ class CallGraph:
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
     #: Caller qualname -> sorted callee qualnames.
     edges: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: Route roots: qualnames registered through the engine route tables.
-    roots: tuple[str, ...] = ()
     #: Method/function name -> sorted qualnames (name-based fallback).
     by_name: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: (display, lineno, message) for files that failed to parse.
@@ -334,45 +323,9 @@ def _resolve_call(
     return out
 
 
-def _resolve_route_arg(
-    graph: CallGraph, mod: ModuleInfo, info: FunctionInfo, arg: ast.AST
-) -> set[str]:
-    """Resolve a ``register_delivery``/``register_injection`` argument."""
-    out: set[str] = set()
-    if isinstance(arg, ast.Attribute):
-        attr = arg.attr
-        recv = arg.value
-        if isinstance(recv, ast.Name) and recv.id not in ("self", "cls"):
-            cls_key = _class_lookup(graph, mod, recv.id)
-            if cls_key is not None:
-                cmod, _, cname = cls_key.rpartition(".")
-                other = _module_by_name(graph, cmod)
-                if other is not None and attr in other.classes.get(cname, {}):
-                    out.add(other.classes[cname][attr])
-                    return out
-        if isinstance(recv, ast.Name) and recv.id in ("self", "cls"):
-            if info.cls is not None:
-                own = mod.classes.get(info.cls, {})
-                if attr in own:
-                    out.add(own[attr])
-                    return out
-        # ``type(cluster)._deliver``-style receivers: fall back to every
-        # indexed method of that name — over-approximation is safe here.
-        out.update(
-            q for q in graph.by_name.get(attr, ())
-            if graph.functions[q].cls is not None
-        )
-    elif isinstance(arg, ast.Name):
-        if arg.id in mod.functions:
-            out.add(mod.functions[arg.id])
-        else:
-            out.update(graph.by_name.get(arg.id, ()))
-    return out
-
-
 def build_callgraph(paths: list[str]) -> CallGraph:
-    """Parse every ``.py`` under ``paths`` and build the program index,
-    call edges, and route roots."""
+    """Parse every ``.py`` under ``paths`` and build the program index
+    and call edges."""
     graph = CallGraph()
     for path in iter_python_files(paths):
         with open(path, encoding="utf-8") as fh:
@@ -385,7 +338,6 @@ def build_callgraph(paths: list[str]) -> CallGraph:
         name: tuple(sorted(quals)) for name, quals in sorted(by_name.items())
     }
 
-    roots: set[str] = set()
     for qual, info in sorted(graph.functions.items()):
         mod = graph.modules[info.path]
         callees: set[str] = set()
@@ -396,17 +348,8 @@ def build_callgraph(paths: list[str]) -> CallGraph:
             if q.startswith(prefix) and "." not in q[len(prefix):]
         )
         for node in _iter_own_statements(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            reg = (
-                func.attr if isinstance(func, ast.Attribute)
-                else func.id if isinstance(func, ast.Name) else None
-            )
-            if reg in ROUTE_REGISTRARS and node.args:
-                roots.update(_resolve_route_arg(graph, mod, info, node.args[0]))
-            callees.update(_resolve_call(graph, mod, info, node))
+            if isinstance(node, ast.Call):
+                callees.update(_resolve_call(graph, mod, info, node))
         callees.discard(qual)
         graph.edges[qual] = tuple(sorted(callees))
-    graph.roots = tuple(sorted(roots))
     return graph

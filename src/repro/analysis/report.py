@@ -121,7 +121,6 @@ class AnalysisReport:
     suppressed: int = 0
     checked_files: int = 0
     functions: int = 0
-    roots: tuple[str, ...] = ()
     lock_edges: list[LockEdge] = field(default_factory=list)
     #: Baseline ids that matched nothing this run (stale entries).
     stale_baseline: tuple[str, ...] = ()
@@ -141,7 +140,6 @@ class AnalysisReport:
         lines.append(
             f"{len(self.findings)} finding(s) in {self.checked_files} "
             f"file(s), {self.functions} function(s) indexed, "
-            f"{len(self.roots)} route root(s), "
             f"{len(self.lock_edges)} lock edge(s) "
             f"({len(self.baselined)} baselined, {self.suppressed} suppressed)"
         )
@@ -158,7 +156,6 @@ class AnalysisReport:
                 "ok": self.ok,
                 "checked_files": self.checked_files,
                 "functions": self.functions,
-                "route_roots": list(self.roots),
                 "lock_edges": [
                     {
                         "held": e.held,
@@ -410,7 +407,6 @@ def analyze_paths(
         suppressed=suppressed,
         checked_files=len(graph.modules) + len(graph.parse_errors),
         functions=len(graph.functions),
-        roots=graph.roots,
         lock_edges=lock_edges,
     )
     if baseline:

@@ -88,46 +88,6 @@ def _build_resilience(args: argparse.Namespace):
     return resilience, fault_plan, node_faults, disk_faults
 
 
-def _render_partition_report(report: dict) -> str:
-    """Render :meth:`PartitionedEngine.partition_report` for the terminal:
-    per-lane loads, drain-run histogram, channel slack."""
-    lines = []
-    parts = report["partitions"]
-    bounds = report["bounds"]
-    aligned = "SN-aligned" if report["aligned"] else "unaligned"
-    lines.append(f"partition report: {parts} compute lanes ({aligned})")
-
-    lane = Table(["lane", "nodes", "events"], title="per-lane loads")
-    compute = report["lane_events"]["compute"]
-    for i, events in enumerate(compute):
-        span = "-" if bounds is None else f"{bounds[i]}-{bounds[i + 1] - 1}"
-        lane.add_row([f"compute {i}", span, f"{events:,}"])
-    lane.add_row(["fabric", "-", f"{report['lane_events']['fabric']:,}"])
-    lane.add_row(["control", "-", f"{report['lane_events']['control']:,}"])
-    lines.append(lane.render())
-
-    hist = Table(["run length", "drains"], title="drain-run length histogram")
-    for label, count in report["drain_run_hist"].items():
-        hist.add_row([label, f"{count:,}"])
-    lines.append(hist.render())
-
-    channels = Table(
-        ["src", "dst", "derived lookahead", "pushes", "observed min slack"],
-        title="cross-partition channels (observed slack must stay >= 0)",
-    )
-    for ch in report["channels"]:
-        slack = ch["min_slack"]
-        channels.add_row([
-            ch["src"],
-            ch["dst"],
-            f"{ch['lookahead']:.3e}",
-            f"{ch['pushes']:,}",
-            "-" if slack is None else f"{slack:.3e}",
-        ])
-    lines.append(channels.render())
-    return "\n\n".join(lines)
-
-
 def _cmd_graph500(args: argparse.Namespace) -> int:
     from repro.graph500.runner import Graph500Runner
 
@@ -144,18 +104,10 @@ def _cmd_graph500(args: argparse.Namespace) -> int:
         disk_faults=disk_faults,
         on_root_failure=args.on_root_failure,
         workers=args.workers,
-        engine_partitions=args.engine_partitions,
         sanitize=args.sanitize,
     )
     report = runner.run(num_roots=args.roots)
     print(report.summary())
-    if args.partition_report:
-        print()
-        if runner.partition_report is None:
-            print("partition report: engine ran unpartitioned "
-                  "(--engine-partitions 1) or under fork workers")
-        else:
-            print(_render_partition_report(runner.partition_report))
     if args.per_root:
         print()
         print(report.per_root_table())
@@ -347,7 +299,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     """Double-run determinism check: report/span/metric digest diff."""
     from repro.sanitizers import check_determinism
 
-    partitions = [int(p) for p in str(args.engine_partitions).split(",") if p]
     result = check_determinism(
         scale=args.scale,
         nodes=args.nodes,
@@ -357,7 +308,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         workers=args.workers,
         runs=args.runs,
         validate=not args.no_validate,
-        engine_partitions=partitions if len(partitions) > 1 else partitions[0],
     )
     print(result.render())
     return 0 if result.ok else 1
@@ -681,14 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="fork-parallel root execution (1 = sequential; "
                         "fault/resilience configs always run sequentially)")
-    p.add_argument("--engine-partitions", type=int, default=1,
-                   help="conservative-sync PDES partitions for the event "
-                        "engine (1 = sequential loop; results are "
-                        "bit-identical either way)")
-    p.add_argument("--partition-report", action="store_true",
-                   help="print PDES accounting after the run: per-lane "
-                        "loads, drain-run histogram, observed vs derived "
-                        "channel slack")
     fault = p.add_argument_group("fault injection (seeded, replayable)")
     fault.add_argument("--drop-rate", type=float, default=0.0,
                        help="probability a message is dropped on the wire")
@@ -748,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="determinism lint over python sources (rule ids REP101-REP108)",
+        help="determinism lint over python sources (rule ids REP101-REP109)",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: the installed "
@@ -812,10 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--runs", type=int, default=2)
     p.add_argument("--no-validate", action="store_true")
-    p.add_argument("--engine-partitions", default="1",
-                   help="PDES partition count, or a comma list cycled "
-                        "across runs (e.g. '1,2' proves the partitioned "
-                        "engine digest-identical to the sequential one)")
     p.set_defaults(func=_cmd_sanitize)
 
     p = sub.add_parser(

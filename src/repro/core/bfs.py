@@ -44,7 +44,6 @@ from repro.resilience.channel import ReliableChannel
 from repro.resilience.checkpoint import Checkpoint, CheckpointStore
 from repro.resilience.config import ResilienceConfig
 from repro.sim.engine import Engine
-from repro.sim.partition import PartitionedEngine
 
 
 @dataclass(frozen=True)
@@ -172,13 +171,7 @@ class DistributedBFS:
         self.groups = GroupLayout(nodes, min(width, nodes))
 
         # --- machine: engine, network, nodes ------------------------------------
-        # ``engine_partitions > 1`` swaps in the conservative-sync PDES
-        # engine (repro.sim.partition) — bit-identical to the sequential
-        # loop, which stays the executable specification at the default.
-        if self.config.engine_partitions > 1:
-            self.engine = PartitionedEngine(self.config.engine_partitions)
-        else:
-            self.engine = Engine()
+        self.engine = Engine()
         self.cluster = SimCluster(
             self.engine,
             nodes,
@@ -186,8 +179,6 @@ class DistributedBFS:
             nodes_per_super_node=nps,
             track_connections=self.config.track_connections,
         )
-        if isinstance(self.engine, PartitionedEngine):
-            self.engine.attach_cluster(self.cluster)
         self.machines = [SunwayNode(i, spec) for i in range(nodes)]
         self.states: list[NodeState] = []
         for i in range(nodes):
@@ -253,10 +244,6 @@ class DistributedBFS:
         self.channel: ReliableChannel | None = None
         if self.resilience.reliable_transport:
             self.channel = ReliableChannel(self.cluster, self.resilience)
-            if isinstance(self.engine, PartitionedEngine):
-                # The reliable transport interposes on cluster delivery, so
-                # its deliver hook is a routed entry point too.
-                self.engine.register_delivery(ReliableChannel._deliver)
         #: Buddy or erasure-coded store per ``resilience.checkpoint_mode``
         #: (built eagerly so an infeasible RS placement fails construction).
         self.checkpoints: CheckpointStore | ShardedCheckpointStore | None = (

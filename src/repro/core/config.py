@@ -145,13 +145,6 @@ class BFSConfig:
     #: (pinned by ``tests/test_message_path_parity.py``); False keeps the
     #: per-message path, which doubles as the executable specification.
     batch_messages: bool = True
-    #: Number of event-engine partitions for the conservative-sync PDES
-    #: engine (:class:`repro.sim.partition.PartitionedEngine`); lookahead
-    #: between partitions derives from the fat-tree link latencies. 1 keeps
-    #: the sequential :class:`~repro.sim.engine.Engine`, the executable
-    #: specification the partitioned engine is pinned bit-identical to
-    #: (``tests/test_message_path_parity.py``).
-    engine_partitions: int = 1
 
     # -- safety valves ---------------------------------------------------------------
     max_levels: int = 10_000
@@ -186,10 +179,6 @@ class BFSConfig:
             raise ConfigError("bad bottom-up sub-round parameters")
         if self.group_width is not None and self.group_width < 1:
             raise ConfigError(f"group width must be >= 1, got {self.group_width}")
-        if self.engine_partitions < 1:
-            raise ConfigError(
-                f"engine partitions must be >= 1, got {self.engine_partitions}"
-            )
 
     # -- derived -----------------------------------------------------------------
     @property

@@ -67,7 +67,6 @@ class Graph500Runner:
         disk_faults=None,
         on_root_failure: str = "abort",
         workers: int = 1,
-        engine_partitions: int = 1,
         telemetry=None,
         sanitize: bool = False,
     ):
@@ -100,18 +99,6 @@ class Graph500Runner:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        if engine_partitions < 1:
-            raise ConfigError(
-                f"engine partitions must be >= 1, got {engine_partitions}"
-            )
-        #: Conservative-sync PDES partition count for the kernel's event
-        #: engine (``BFSConfig.engine_partitions``); 1 keeps the sequential
-        #: engine. Results are pinned bit-identical either way.
-        self.engine_partitions = engine_partitions
-        #: The last run's :meth:`PartitionedEngine.partition_report`
-        #: (None when the run used the sequential engine or forked root
-        #: workers, whose kernels die with the children).
-        self.partition_report = None
         #: Optional :class:`repro.telemetry.Telemetry`. Sequential runs get
         #: full kernel instrumentation (spans, labeled metrics, busy
         #: intervals); ``workers>1`` runs derive the run/root/level span
@@ -207,22 +194,13 @@ class Graph500Runner:
                 shared.destroy()
 
     def _run_steps(self, edges, roots, graph, workers) -> BenchmarkReport:
-        config = self.config
-        if self.engine_partitions != 1:
-            from dataclasses import replace
-
-            from repro.core.config import BFSConfig
-
-            config = replace(
-                config or BFSConfig(), engine_partitions=self.engine_partitions
-            )
         from repro.baselines import make_variant  # late: heavy import chain
 
         bfs = make_variant(
             self.variant,
             edges,
             self.nodes,
-            config=config,
+            config=self.config,
             nodes_per_super_node=self.nodes_per_super_node,
             resilience=self.resilience,
             graph=graph,
@@ -292,12 +270,6 @@ class Graph500Runner:
             self._run_parallel(report, bfs, graph, edges, roots, validator, workers)
         else:
             self._run_sequential(report, bfs, graph, edges, roots, validator)
-        self.partition_report = None
-        if workers == 1:
-            from repro.sim.partition import PartitionedEngine
-
-            if isinstance(bfs.engine, PartitionedEngine):
-                self.partition_report = bfs.engine.partition_report()
         if tel is not None:
             closed_roots = [s for s in tel.spans.by_category("root") if s.closed]
             start = min((s.start for s in closed_roots), default=0.0)

@@ -53,27 +53,6 @@ class NetworkModel:
             return t.intra_super_node_latency
         return t.inter_super_node_latency
 
-    def min_cross_latency(
-        self, a: tuple[int, int], b: tuple[int, int]
-    ) -> float:
-        """Minimum propagation latency from node range ``[a0, a1)`` to
-        ``[b0, b1)`` (disjoint, non-empty ranges).
-
-        This is the conservative-sync *lookahead* between two engine
-        partitions: every link on a route only delays a message further,
-        so no cross-partition event can be delivered earlier than its send
-        time plus this bound. When the two ranges share no super node,
-        every cross message rides the central switches and the bound is
-        the inter-super-node latency; when they straddle one, the
-        intra-super-node latency is the floor.
-        """
-        t = self.spec.taihulight
-        a_lo, a_hi = self.topology.super_node_span(*a)
-        b_lo, b_hi = self.topology.super_node_span(*b)
-        if a_lo > b_hi or b_lo > a_hi:
-            return t.inter_super_node_latency
-        return t.intra_super_node_latency
-
     def links_on_route(self, src: int, dst: int) -> list[Link]:
         if src == dst:
             return []

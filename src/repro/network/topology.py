@@ -85,17 +85,6 @@ class FatTreeTopology:
         lo = sn * self.nodes_per_super_node
         return range(lo, min(lo + self.nodes_per_super_node, self.num_nodes))
 
-    def super_node_span(self, lo: int, hi: int) -> tuple[int, int]:
-        """Inclusive super-node range covered by the node range ``[lo, hi)``.
-
-        Engine partition layouts use this to reason about alignment: a
-        contiguous node range always maps to a contiguous super-node range,
-        so two node ranges share a super node iff their spans intersect.
-        """
-        if not 0 <= lo < hi <= self.num_nodes:
-            raise ConfigError(f"bad node range [{lo}, {hi})")
-        return self.super_node_of(lo), self.super_node_of(hi - 1)
-
     def is_intra_super_node(self, src: int, dst: int) -> bool:
         """True when a message stays below the central switches."""
         return self.super_node_of(src) == self.super_node_of(dst)

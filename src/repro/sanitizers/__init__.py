@@ -5,16 +5,16 @@ turned into machine-checked properties:
 
 - :mod:`~repro.sanitizers.determinism` — AST lint (``repro lint``) over
   the simulator sources: wall-clock reads, global RNG, hash-order
-  iteration, unsorted set unions, slot-less hot dataclasses, PDES
-  channel bypasses, service-layer kernel-construction bypasses, bare
-  lock acquires (rule ids REP101-REP109, ``# repro: noqa[RULE]``
-  suppressions);
+  iteration, unsorted set unions, slot-less hot dataclasses,
+  service-layer kernel-construction bypasses, bare lock acquires (rule
+  ids REP101-REP109, ``# repro: noqa[RULE]`` suppressions);
 - :mod:`~repro.sanitizers.mesh_prover` — static prover for the Section
   4.3 register-mesh shuffle: role partition, row-then-column direction
   discipline, channel-dependency acyclicity, per-phase port exclusivity
   and SPM feasibility;
 - :mod:`~repro.sanitizers.runtime` — opt-in runtime detectors: SPM
-  write conflicts, message-mutated-after-send, and the double-run
+  write conflicts, message-mutated-after-send, delivery sooner than
+  the link latency, and the double-run
   determinism diff behind ``repro sanitize``.
 
 See ``docs/static-analysis.md`` for the full rule catalogue and CI

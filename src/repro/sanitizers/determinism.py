@@ -54,13 +54,6 @@ _SET_COMBINATORS = frozenset(
 )
 #: Dataclass name suffixes that mark a hot per-message/per-event type.
 _HOT_SUFFIXES = ("Message", "Event", "Packet", "Execution")
-#: The partitioned engine's cross-partition state (repro.sim.partition).
-#: Touching these outside that module bypasses the channel API — lane heaps
-#: and the drain bound are exactly the shared mutable state conservative
-#: sync exists to fence.
-_PDES_PRIVATE_ATTRS = frozenset(
-    {"_lanes", "_entries", "_drain_bound", "_node_partition"}
-)
 #: Kernel entry points (REP108): inside ``repro.service`` only the
 #: catalog module may call these — everything else executes through a
 #: pinned CatalogEntry, which is what keeps graph lifecycle, kernel
@@ -265,17 +258,6 @@ class _LintVisitor(ast.NodeVisitor):
                 node,
                 f"set combinator .{node.attr}(): result order is "
                 "hash-dependent; merge deterministically instead",
-            )
-        # Partitioned-engine internals (REP106): only repro.sim.partition
-        # may touch lane heaps / the drain bound / the entry table.
-        if node.attr in _PDES_PRIVATE_ATTRS:
-            self._emit(
-                "REP106",
-                node,
-                f"direct access to partitioned-engine state .{node.attr}: "
-                "cross-partition events must go through the engine API "
-                "(call_at/schedule_batch/cancel/register_*), not shared "
-                "mutable lane state",
             )
         self.generic_visit(node)
 

@@ -28,11 +28,9 @@ from dataclasses import dataclass, field
 #: order — the blast radius of a nondeterministic iteration.
 SIM_CORE_PACKAGES = ("core", "sim", "machine", "network")
 
-#: Files exempt from specific rules (the one sanctioned RNG entry point,
-#: and the partitioned engine's own lane implementation).
+#: Files exempt from specific rules (the one sanctioned RNG entry point).
 RULE_EXEMPT_FILES = {
     "REP102": ("repro/sim/rng.py",),
-    "REP106": ("repro/sim/partition.py",),
     # The catalog is the service's one sanctioned kernel-construction
     # site: entries own their kernels and the execute dispatch.
     "REP108": ("repro/service/catalog.py",),
@@ -92,15 +90,6 @@ RULES: dict[str, Rule] = {
             "hot message/event dataclasses (*Message, *Event, *Packet, "
             "*Execution) without slots=True; per-instance dicts cost space "
             "and invite untracked dynamic attributes",
-            "sim-core",
-        ),
-        Rule(
-            "REP106",
-            "pdes-channel-bypass",
-            "direct access to the partitioned engine's cross-partition state "
-            "(_lanes/_entries/_drain_bound/_node_partition) outside "
-            "repro.sim.partition; cross-partition events must flow through "
-            "the engine's scheduling/channel API, not shared mutable lanes",
             "sim-core",
         ),
         Rule(

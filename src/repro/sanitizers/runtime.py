@@ -12,7 +12,8 @@ path) and switched on per-run via ``BFSConfig.sanitize`` /
 - :class:`MessageSanitizer` — payloads are passed by reference through
   :class:`~repro.network.simmpi.SimCluster`, so mutating a buffer after
   ``send`` silently corrupts an in-flight message. The sanitizer digests
-  every payload at injection and re-digests at delivery.
+  every payload at injection and re-digests at delivery. It also checks
+  that no message arrives sooner than its link's propagation latency.
 - :func:`check_determinism` — the end-to-end guarantee: run the same
   benchmark configuration twice and diff report, metric and span digests
   bit-for-bit.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -193,8 +194,28 @@ class MutationViolation:
         )
 
 
+@dataclass
+class LatencyViolation:
+    tag: str
+    src: int
+    dst: int
+    slack: float
+    latency: float
+
+    def render(self) -> str:
+        return (
+            f"message {self.tag!r} {self.src}->{self.dst} arrived "
+            f"{self.slack:.3e}s after send, below its link latency "
+            f"{self.latency:.3e}s"
+        )
+
+
 class MessageSanitizer:
     """Digests payloads at send, re-checks at delivery.
+
+    Every delivery is also checked against the link model: no message may
+    arrive sooner after its ``send_time`` than the propagation latency
+    between its endpoints.
 
     Installs by wrapping the cluster's ``send``/``send_batch`` (instance
     attributes, the same interception point the fault injectors use, so
@@ -206,7 +227,7 @@ class MessageSanitizer:
     def __init__(self, cluster: Any, raise_on_violation: bool = True) -> None:
         self.cluster = cluster
         self.raise_on_violation = raise_on_violation
-        self.violations: list[MutationViolation] = []
+        self.violations: list[MutationViolation | LatencyViolation] = []
         self.messages_checked = 0
         self._digests: dict[int, str] = {}  # id(msg) -> digest
         self._original_send = cluster.send
@@ -251,15 +272,27 @@ class MessageSanitizer:
         if expected is not None:
             self.messages_checked += 1
             if payload_digest(msg.payload) != expected:
-                violation = MutationViolation(
-                    msg.tag, msg.src, msg.dst, msg.send_time
+                self._violate(
+                    "payload mutated after send: ",
+                    MutationViolation(msg.tag, msg.src, msg.dst, msg.send_time),
                 )
-                self.violations.append(violation)
-                if self.raise_on_violation:
-                    raise SanitizerViolation(
-                        "payload mutated after send: " + violation.render()
-                    )
+        slack = self.cluster.engine.now - msg.send_time
+        latency = self.cluster.network.latency(msg.src, msg.dst)
+        # The epsilon tolerates the one float rounding of ``t + latency``;
+        # a genuine violation is off by a full latency class, not an ulp.
+        if slack < latency * (1.0 - 1e-9):
+            self._violate(
+                "delivered before its link latency: ",
+                LatencyViolation(msg.tag, msg.src, msg.dst, slack, latency),
+            )
         self._original_deliver(msg)
+
+    def _violate(
+        self, prefix: str, violation: MutationViolation | LatencyViolation
+    ) -> None:
+        self.violations.append(violation)
+        if self.raise_on_violation:
+            raise SanitizerViolation(prefix + violation.render())
 
     def uninstall(self) -> None:
         for name in ("send", "send_batch", "_deliver"):
@@ -344,46 +377,30 @@ def check_determinism(
     workers: int = 1,
     runs: int = 2,
     validate: bool = False,
-    engine_partitions: int | Sequence[int] = 1,
 ) -> DeterminismReport:
     """Run the benchmark ``runs`` times and diff every digest.
 
     Each run gets a fresh runner, kernel, engine and telemetry — nothing
     is shared, so any digest difference is real nondeterminism (host
     clock, global RNG, hash-order iteration) leaking into results.
-
-    ``engine_partitions`` may be a sequence, cycled across runs — e.g.
-    ``[1, 2]`` proves the partitioned PDES engine digest-identical to the
-    sequential one, since the partitioned engine is pinned bit-identical
-    (parents, sim seconds, stats, spans) to the sequential specification.
     """
     from repro.graph500.runner import Graph500Runner
 
-    if isinstance(engine_partitions, int):
-        partition_cycle = [engine_partitions]
-    else:
-        partition_cycle = [int(p) for p in engine_partitions] or [1]
-
-    def make_run_fn(partitions: int) -> Callable[[Any], str]:
-        def run_fn(tel: Any) -> str:
-            runner = Graph500Runner(
-                scale=scale,
-                nodes=nodes,
-                seed=seed,
-                variant=variant,
-                validate=validate,
-                workers=workers,
-                engine_partitions=partitions,
-                telemetry=tel,
-            )
-            return runner.run(num_roots=num_roots).to_json()
-
-        return run_fn
+    def run_fn(tel: Any) -> str:
+        runner = Graph500Runner(
+            scale=scale,
+            nodes=nodes,
+            seed=seed,
+            variant=variant,
+            validate=validate,
+            workers=workers,
+            telemetry=tel,
+        )
+        return runner.run(num_roots=num_roots).to_json()
 
     result = DeterminismReport()
-    for i in range(runs):
-        partitions = partition_cycle[i % len(partition_cycle)]
-        result.digests.append(run_digest(make_run_fn(partitions)))
+    for _ in range(runs):
+        result.digests.append(run_digest(run_fn))
     first = result.digests[0]
     for i, other in enumerate(result.digests[1:], start=1):
         for kind in ("report", "spans", "metrics"):

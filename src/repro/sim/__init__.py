@@ -16,24 +16,13 @@ two runs with the same seeds produce identical traces.
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import Event, EventLoop, Timeout
-from repro.sim.partition import (
-    LookaheadTable,
-    PartitionChannel,
-    PartitionLayout,
-    PartitionedEngine,
-)
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Server, ServerPool
 from repro.sim.stats import Counter, TimeSeries, StatsRegistry
 
 __all__ = [
     "Engine",
-    "EventLoop",
-    "LookaheadTable",
-    "PartitionChannel",
-    "PartitionLayout",
-    "PartitionedEngine",
     "Event",
     "Timeout",
     "Process",

@@ -49,7 +49,15 @@ class Engine:
         return self._events_executed
 
     def __len__(self) -> int:
-        return len(self._queue) - len(self._cancelled)
+        """Live pending events: queued and not cancelled.
+
+        ``_cancelled`` may also hold marks for handles that already ran
+        (see :meth:`cancel`), so only marks on queued entries count.
+        """
+        cancelled = self._cancelled
+        if not cancelled:
+            return len(self._queue)
+        return sum(1 for entry in self._queue if entry[1] not in cancelled)
 
     # -- scheduling ------------------------------------------------------------
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> int:

@@ -8,24 +8,10 @@ yield-value a process uses to sleep for a fixed amount of simulated time.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any, Protocol
+from typing import Any
 
 from repro.errors import SimulationError
-
-
-class EventLoop(Protocol):
-    """The slice of the engine API waitables need: deferred callbacks.
-
-    Both :class:`repro.sim.engine.Engine` and the partitioned PDES engine
-    (:class:`repro.sim.partition.PartitionedEngine`) satisfy this, so
-    process-style code is engine-agnostic.
-    """
-
-    def call_after(
-        self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> int:
-        """Schedule ``fn(*args)`` after ``delay`` simulated seconds."""
-        ...
+from repro.sim.engine import Engine
 
 
 class Timeout:
@@ -50,7 +36,7 @@ class Event:
     value (so there is no lost-wakeup race).
     """
 
-    def __init__(self, engine: EventLoop) -> None:
+    def __init__(self, engine: Engine) -> None:
         self._engine = engine
         self._fired = False
         self._value: Any = None

@@ -40,23 +40,3 @@ class StatsRegistry(MetricsRegistry):
         if name not in self.series:
             self.series[name] = TimeSeries(name)
         return self.series[name]
-
-    def merge_counters(self, other: MetricsRegistry) -> None:
-        """Fold ``other``'s counters into this registry, labels preserved.
-
-        Used when per-partition or per-worker accounting is folded into a
-        single snapshot (bench aggregation, telemetry adoption). Counters
-        are the only kind that merges by addition; gauges and histograms
-        are point-in-time readings and are deliberately left alone.
-        Families and children are visited in sorted order so the merge is
-        deterministic regardless of registration order.
-        """
-        for name in sorted(other._families):
-            family = other._families[name]
-            if family.kind != "counter":
-                continue
-            for values in sorted(family.children):
-                child = family.children[values]
-                if child.value:
-                    labels = dict(zip(family.label_keys, values))
-                    self.counter(name, **labels).add(child.value)

@@ -1,12 +1,11 @@
 """Deliberately nondeterministic module — every lint rule fires here.
 
 Never imported; linted by tests/test_sanitizers_lint.py with the
-``sim-core`` scope forced (REP101-REP106) and again with the ``service``
+``sim-core`` scope forced (REP101-REP105, REP109) and again with the ``service``
 scope (REP108), to prove ``repro lint`` rejects each hazard class and
 exits nonzero.
 """
 
-import heapq
 import random
 import time
 from dataclasses import dataclass
@@ -36,12 +35,6 @@ class HotPathMessage:  # REP105: hot dataclass without slots=True
     src: int
     dst: int
     payload: bytes
-
-
-def smuggle_event(engine, fn) -> None:
-    # REP106: pushing straight into a partition lane bypasses the
-    # channel API's lookahead validation and drain-bound update.
-    heapq.heappush(engine._lanes[1], [0.0, 0, fn, ()])
 
 
 def rogue_query(edges):

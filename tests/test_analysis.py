@@ -116,15 +116,6 @@ def test_repo_sources_analyze_clean():
     assert report.functions > 500
 
 
-def test_repo_route_roots_resolved():
-    roots = set(build_callgraph([SRC]).roots)
-    # The cluster delivery/injection hooks registered by attach_cluster,
-    # and the reliable transport's delivery hook registered by the driver.
-    assert "repro.network.simmpi.SimCluster._deliver" in roots
-    assert "repro.network.simmpi.SimCluster._inject" in roots
-    assert "repro.resilience.channel.ReliableChannel._deliver" in roots
-
-
 def test_repo_lock_pass_finds_catalog_kernel_edge_and_no_cycles():
     graph = build_callgraph([SRC])
     edges, cycles, blocking = analyze_locks(graph)

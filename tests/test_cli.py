@@ -24,30 +24,6 @@ def test_graph500_small_run(capsys):
     assert "root" in out  # the per-root table
 
 
-def test_graph500_partition_report(capsys):
-    rc = main(
-        ["graph500", "--scale", "8", "--nodes", "4", "--roots", "2",
-         "--super-node", "2", "--engine-partitions", "2",
-         "--partition-report"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "all validated" in out
-    assert "partition report: 2 compute lanes" in out
-    assert "per-lane loads" in out
-    assert "drain-run length histogram" in out
-    assert "cross-partition channels" in out
-
-
-def test_graph500_partition_report_unpartitioned(capsys):
-    rc = main(
-        ["graph500", "--scale", "8", "--nodes", "4", "--roots", "1",
-         "--super-node", "2", "--partition-report"]
-    )
-    assert rc == 0
-    assert "engine ran unpartitioned" in capsys.readouterr().out
-
-
 def test_fig11_prints_crashes(capsys):
     assert main(["fig11"]) == 0
     out = capsys.readouterr().out

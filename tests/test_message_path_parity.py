@@ -443,155 +443,20 @@ def test_telemetry_off_leaves_stats_identical_to_untraced_run():
     assert all(s.intervals is None for s in off._all_servers())
 
 
-# --- partitioned-engine parity: PDES lanes vs the sequential loop ------------
-def _run_partitioned(
-    variant,
-    nodes,
-    partitions,
-    batch=True,
-    resilience=None,
-    roots=(1, 5),
-    nps=None,
-):
-    """One traversal set at a given partition count; (bfs, outcome) pair."""
-    edges = _edges()
-    cfg = replace(
-        variant_config(variant),
-        batch_messages=batch,
-        engine_partitions=partitions,
-    )
-    bfs = DistributedBFS(
-        edges, nodes, config=cfg, resilience=resilience,
-        nodes_per_super_node=nps,
-    )
-    results = [bfs.run(r) for r in roots]
-    return bfs, (results, bfs.cluster.stats.snapshot())
-
-
-@pytest.mark.parametrize("variant", ["relay-cpe", "direct-cpe", "relay-mpe"])
-@pytest.mark.parametrize("partitions", [2, 4])
-def test_partitioned_traversal_parity(variant, partitions):
-    """The conservative-sync engine must be invisible in every observable:
-    parents, levels, sim_seconds, per-run stats, cluster stats."""
-    from repro.sim.partition import PartitionedEngine
-
-    _, sequential = _run_partitioned(variant, 16, 1)
-    bfs, partitioned = _run_partitioned(variant, 16, partitions)
-    assert isinstance(bfs.engine, PartitionedEngine)
-    _assert_identical(sequential, partitioned)
-
-
-def test_partitioned_parity_scalar_sends():
-    """batch_messages=False exercises per-message call_at scheduling."""
-    _, sequential = _run_partitioned("relay-cpe", 16, 1, batch=False)
-    _, partitioned = _run_partitioned("relay-cpe", 16, 2, batch=False)
-    _assert_identical(sequential, partitioned)
-
-
-def test_partitioned_parity_super_node_aligned():
-    """16 nodes / 4-per-SN / 2 partitions: partition boundaries land on
-    super-node boundaries, so every cross-partition hop is inter-SN and
-    the lookahead table derives the 3 microsecond inter-SN latency."""
-    _, sequential = _run_partitioned("relay-cpe", 16, 1, nps=4)
-    bfs, partitioned = _run_partitioned("relay-cpe", 16, 2, nps=4)
-    _assert_identical(sequential, partitioned)
-    assert bfs.engine.layout.aligned
-    assert bfs.engine.lookahead.min_lookahead() == 3e-6
-
-
+# --- reliable transport leaves the engine empty -------------------------------
 @pytest.mark.parametrize("batch", [False, True])
-def test_partitioned_parity_reliable_transport(batch):
-    """Acks, retry timers, and cancel() on the partitioned engine; the
-    cancelled-set and entry table must both drain to empty afterwards."""
-    res = ResilienceConfig(reliable_transport=True)
-    _, sequential = _run_partitioned(
-        "relay-cpe", 16, 1, batch=batch, resilience=res
+def test_reliable_transport_leaves_engine_empty(batch):
+    """Acks cancel their retry timers; after the run neither a live event
+    nor a stale cancel mark may remain."""
+    cfg = replace(variant_config("relay-cpe"), batch_messages=batch)
+    bfs = DistributedBFS(
+        _edges(), 16, config=cfg,
+        resilience=ResilienceConfig(reliable_transport=True),
     )
-    bfs, partitioned = _run_partitioned(
-        "relay-cpe", 16, 2, batch=batch, resilience=res
-    )
-    _assert_identical(sequential, partitioned)
+    for root in (1, 5):
+        bfs.run(root)
     assert len(bfs.engine._cancelled) == 0
     assert len(bfs.engine) == 0
-
-
-def test_partitioned_parity_reliable_with_checkpoints():
-    res = ResilienceConfig(reliable_transport=True, checkpoint_interval=2)
-    _, sequential = _run_partitioned("relay-cpe", 16, 1, resilience=res)
-    _, partitioned = _run_partitioned("relay-cpe", 16, 4, resilience=res)
-    _assert_identical(sequential, partitioned)
-
-
-def test_partitioned_parity_under_fault_injector():
-    """Fault ordinals count sends in global order; the partitioned engine
-    must see the same send sequence, so drops/duplicates line up."""
-    edges = _edges()
-    outcomes = []
-    for partitions in (1, 2):
-        cfg = replace(
-            variant_config("relay-cpe"),
-            batch_messages=True,
-            engine_partitions=partitions,
-        )
-        bfs = DistributedBFS(edges, 16, config=cfg)
-        plan = FaultPlan(drop={5, 17}, duplicate={9}, tag_prefix="fwd")
-        with FaultInjector(bfs.cluster, plan) as injector:
-            result = bfs.run(1)
-            outcomes.append(
-                (
-                    result.parent.copy(),
-                    result.sim_seconds,
-                    injector.matched,
-                    injector.dropped,
-                    injector.duplicated,
-                )
-            )
-    a, b = outcomes
-    assert np.array_equal(a[0], b[0])
-    assert a[1:] == b[1:]
-
-
-def test_partitioned_telemetry_span_parity():
-    """Span lists (names, windows, parents, attrs), labeled metrics, and
-    busy intervals must be bit-identical across partition counts."""
-    from repro.telemetry import Telemetry
-
-    edges = _edges()
-    captured = []
-    for partitions in (1, 2, 4):
-        cfg = replace(
-            variant_config("relay-cpe"),
-            batch_messages=True,
-            engine_partitions=partitions,
-        )
-        tel = Telemetry()
-        bfs = DistributedBFS(edges, 16, config=cfg, telemetry=tel)
-        results = [bfs.run(r) for r in (1, 5)]
-        captured.append(
-            (
-                [r.parent.copy() for r in results],
-                [r.sim_seconds for r in results],
-                tel.metrics.snapshot(),
-                tel.intervals(),
-                _span_rows(tel),
-            )
-        )
-    base = captured[0]
-    for other in captured[1:]:
-        for pa, pb in zip(base[0], other[0]):
-            assert np.array_equal(pa, pb)
-        assert base[1:] == other[1:]
-
-
-def test_partition_report_not_in_cluster_stats():
-    """The PDES engine's own accounting (lanes, drains, channel slack) is
-    observability, not simulation state: it must stay out of the
-    parity-visible stats snapshot and live in partition_report()."""
-    bfs, (_, snapshot) = _run_partitioned("relay-cpe", 16, 2)
-    report = bfs.engine.partition_report()
-    assert report["partitions"] == 2
-    assert sum(report["lane_events"]["compute"]) > 0
-    assert not any(k.startswith("partition") for k in snapshot)
 
 
 # --- engine parity: schedule_batch vs call_at --------------------------------

@@ -1,4 +1,5 @@
-"""Runtime sanitizers: SPM write conflicts, payload mutation, determinism."""
+"""Runtime sanitizers: SPM write conflicts, payload mutation, link latency,
+determinism."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from repro.core.config import BFSConfig
 from repro.core.shuffle import ShufflePlan
 from repro.errors import ReproError
 from repro.graph500.runner import Graph500Runner
-from repro.network.simmpi import SimCluster
+from repro.network.simmpi import Message, SimCluster
 from repro.sanitizers import (
     MessageSanitizer,
     SanitizerViolation,
@@ -170,6 +171,49 @@ def test_message_sanitizer_uninstall_restores_cluster():
     engine.run()
     assert len(delivered) == 1
     assert san.messages_checked == 0
+
+
+# --- link-latency check ------------------------------------------------------
+def _two_super_nodes():
+    engine = Engine()
+    cluster = SimCluster(engine, num_nodes=8, nodes_per_super_node=4)
+    delivered = []
+    cluster.register(5, delivered.append)
+    assert cluster.network.latency(0, 5) == 3e-6  # crosses the central switch
+    return engine, cluster, delivered
+
+
+def test_message_sanitizer_latency_clean_on_sanitized_run():
+    # 16 nodes in 4 super nodes: both intra- and inter-super-node traffic.
+    runner = Graph500Runner(
+        scale=10, nodes=16, nodes_per_super_node=4, validate="none",
+        sanitize=True,
+    )
+    report = runner.run(num_roots=2)
+    assert report.extra["sanitizer_messages_checked"] > 0
+    assert report.extra["sanitizer_mutations"] == 0
+
+
+def test_message_sanitizer_rejects_delivery_before_link_latency():
+    engine, cluster, _ = _two_super_nodes()
+    MessageSanitizer(cluster)
+    msg = Message(0, 5, "early", 64, None, 0.0, 1e-6)
+    engine.call_at(1e-6, cluster._deliver, msg)  # 1us slack < 3us latency
+    with pytest.raises(SanitizerViolation, match="below its link latency"):
+        engine.run()
+
+
+def test_message_sanitizer_accepts_delivery_at_exact_latency():
+    engine, cluster, delivered = _two_super_nodes()
+    san = MessageSanitizer(cluster)
+    t = 0.3
+    arrival = t + cluster.network.latency(0, 5)
+    assert arrival - t < 3e-6  # the float add rounds the slack just below
+    msg = Message(0, 5, "exact", 64, None, t, arrival)
+    engine.call_at(arrival, cluster._deliver, msg)
+    engine.run()
+    assert delivered == [msg]
+    assert san.violations == []
 
 
 # --- determinism sanitizer ----------------------------------------------------

@@ -111,3 +111,116 @@ def test_events_always_execute_in_nondecreasing_time(delays):
     eng.run()
     assert times == sorted(times)
     assert len(times) == len(delays)
+
+
+def test_run_is_not_reentrant():
+    eng = Engine()
+
+    def reenter():
+        eng.run()
+
+    eng.call_at(1e-6, reenter)
+    with pytest.raises(SimulationError, match="not reentrant"):
+        eng.run()
+
+
+def test_schedule_batch_contiguous_handles():
+    eng = Engine()
+    ran = []
+    eng.call_at(1e-6, ran.append, "first")
+    handles = eng.schedule_batch(
+        [3e-6, 1e-6, 1e-6, 2e-6], ran.append, [(i,) for i in range(4)]
+    )
+    assert list(handles) == [1, 2, 3, 4]
+    eng.run()
+    assert ran == ["first", 1, 2, 3, 0]
+    with pytest.raises(SimulationError, match="equal lengths"):
+        eng.schedule_batch([1.0], lambda: None, [])
+
+
+# --- cancellation --------------------------------------------------------------
+def test_cancel_pending_event():
+    eng = Engine()
+    ran = []
+    eng.call_at(1e-6, ran.append, "keep")
+    drop = eng.call_at(2e-6, ran.append, "drop")
+    eng.cancel(drop)
+    assert len(eng) == 1
+    eng.run()
+    assert ran == ["keep"]
+    assert eng.now == 1e-6  # a cancelled event never advances the clock
+
+
+def test_cancel_executed_handle_is_noop():
+    eng = Engine()
+    handle = eng.call_at(1e-6, lambda: None)
+    eng.run()
+    eng.cancel(handle)  # tolerated: ack paths race the timers they guard
+    assert len(eng) == 0
+    with pytest.raises(SimulationError, match="unknown event handle"):
+        eng.cancel(10_000)
+
+
+def test_len_ignores_stale_cancel_mark_with_pending_event():
+    eng = Engine()
+    ran = eng.call_at(1e-6, lambda: None)
+    assert eng.step()
+    eng.call_at(2e-6, lambda: None)
+    eng.cancel(ran)  # stale mark; the pending head is live so it stays
+    assert len(eng) == 1
+
+
+def test_cancel_from_inside_callback():
+    eng = Engine()
+    ran = []
+    timer = eng.call_at(5e-6, ran.append, "timer")
+    eng.call_at(1e-6, lambda: eng.cancel(timer))
+    eng.run()
+    assert ran == []
+    assert len(eng) == 0
+
+
+def test_step_then_run_until_quiescent():
+    eng = Engine()
+    ran = []
+    for i, when in enumerate([3e-6, 1e-6, 1e-6, 2e-6, 5e-6]):
+        eng.call_at(when, ran.append, i)
+    assert eng.step()
+    assert ran == [1]
+    eng.run_until_quiescent()
+    assert ran == [1, 2, 3, 0, 4]
+    assert len(eng) == 0
+
+
+def test_engine_cancelled_set_stays_bounded_across_runs():
+    """Cancelling already-fired handles (the ack-vs-timer race pattern)
+    must not leak marks run over run: the quiescent sweep reclaims them."""
+    engine = Engine()
+    for round_idx in range(50):
+        handle = engine.call_at(engine.now + 1e-6, lambda: None)
+        engine.run()
+        engine.cancel(handle)  # fires first, cancel races in afterwards
+        assert len(engine._cancelled) <= 1
+    engine.call_at(engine.now + 1e-6, lambda: None)
+    engine.run()
+    assert len(engine._cancelled) == 0
+
+
+def test_engine_cancel_purges_marks_at_queue_head():
+    engine = Engine()
+    handles = [engine.call_at(1e-6 * (i + 1), lambda: None) for i in range(8)]
+    for h in handles:  # cancel in heap order: every mark purges eagerly
+        engine.cancel(h)
+    assert len(engine._cancelled) == 0
+    assert len(engine._queue) == 0
+
+
+def test_engine_step_clears_cancelled_when_drained():
+    engine = Engine()
+    handle = engine.call_at(1e-6, lambda: None)
+    assert engine.step()
+    engine.call_at(2e-6, lambda: None)
+    engine.cancel(handle)  # stale mark; head (seq 1) is live so no purge
+    assert engine.step()
+    assert not engine.step()  # drained: quiescent sweep reclaims the mark
+    assert len(engine._cancelled) == 0
