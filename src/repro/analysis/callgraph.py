@@ -1,6 +1,7 @@
-"""AST call-graph construction for the interprocedural analyzer.
+"""AST call-graph construction for the whole-program lint passes.
 
-One parse per file, two derived structures:
+Built from the trees ``repro lint`` already parsed, two derived
+structures:
 
 - a **function index**: every module-level function and class method,
   keyed by dotted qualname (``repro.core.bfs.DistributedBFS._mark``).
@@ -22,11 +23,10 @@ containers (``self._handlers[dst](msg)``) are invisible to the AST.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro.analysis.effects import parse_effect_comment
-from repro.sanitizers.determinism import iter_python_files
 
 #: Ubiquitous builtin container/str method names, excluded from the
 #: name-based fallback: an unresolvable ``self._entries.get(...)`` is a
@@ -77,7 +77,6 @@ class FunctionInfo:
     cls: str | None
     name: str
     path: str
-    display: str
     lineno: int
     node: ast.FunctionDef | ast.AsyncFunctionDef
     effects: tuple[str, ...] = ()
@@ -85,12 +84,10 @@ class FunctionInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed file: names, classes, and raw lines (noqa lookups)."""
+    """One parsed file: its imports, classes and functions."""
 
     path: str
-    display: str
     module: str
-    lines: list[str]
     #: Import alias -> fully dotted target ("np" -> "numpy",
     #: "make_variant" -> "repro.baselines.make_variant").
     imports: dict[str, str] = field(default_factory=dict)
@@ -110,11 +107,6 @@ class CallGraph:
     edges: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Method/function name -> sorted qualnames (name-based fallback).
     by_name: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: (display, lineno, message) for files that failed to parse.
-    parse_errors: list[tuple[str, int, str]] = field(default_factory=list)
-
-    def source_lines(self, info: FunctionInfo) -> list[str]:
-        return self.modules[info.path].lines
 
 
 def _iter_own_statements(node: ast.AST) -> Iterator[ast.AST]:
@@ -155,16 +147,10 @@ def _decorator_effects(
     return tuple(dict.fromkeys(out))
 
 
-def _index_module(path: str, source: str, graph: CallGraph) -> None:
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        graph.parse_errors.append(
-            (display_path(path), exc.lineno or 1, exc.msg or "syntax error")
-        )
-        return
-    lines = source.splitlines()
-    mod = ModuleInfo(path, display_path(path), module_name(path), lines)
+def _index_module(
+    path: str, tree: ast.Module, lines: list[str], graph: CallGraph
+) -> None:
+    mod = ModuleInfo(path, module_name(path))
     graph.modules[path] = mod
 
     def add_function(
@@ -178,7 +164,6 @@ def _index_module(path: str, source: str, graph: CallGraph) -> None:
             cls=cls,
             name=node.name,
             path=path,
-            display=mod.display,
             lineno=node.lineno,
             node=node,
             effects=_decorator_effects(node, lines),
@@ -323,13 +308,15 @@ def _resolve_call(
     return out
 
 
-def build_callgraph(paths: list[str]) -> CallGraph:
-    """Parse every ``.py`` under ``paths`` and build the program index
-    and call edges."""
+def build_callgraph(
+    parsed: Mapping[str, tuple[ast.Module, list[str]]],
+) -> CallGraph:
+    """Build the program index and call edges from ``{path: (tree,
+    source lines)}``."""
     graph = CallGraph()
-    for path in iter_python_files(paths):
-        with open(path, encoding="utf-8") as fh:
-            _index_module(path, fh.read(), graph)
+    for path in sorted(parsed):
+        tree, lines = parsed[path]
+        _index_module(path, tree, lines, graph)
 
     by_name: dict[str, set[str]] = {}
     for qual, info in graph.functions.items():

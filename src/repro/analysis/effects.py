@@ -1,7 +1,7 @@
-"""Effect annotations for the interprocedural analyzer.
+"""Effect annotations checked by ``repro lint``.
 
 Functions on the simulator or service hot paths can declare their
-concurrency contract, and ``repro analyze`` validates the declaration
+concurrency contract, and ``repro lint`` validates the declaration
 against what the AST actually shows (rule REP204):
 
 - ``pure`` — no attribute stores, no lock acquisitions, no blocking
@@ -14,12 +14,13 @@ Two spellings, for two layering situations:
 - the :func:`effects` decorator, importable from anywhere that may
   depend on ``repro.analysis`` (the service layer uses it);
 - a ``# repro: effect=pure`` comment on the ``def`` line, for
-  modules below the analyzer in the import graph (``repro.telemetry``,
+  modules below the checker in the import graph (``repro.telemetry``,
   ``repro.sim``) where importing the decorator would invert layering.
 
-The decorator is deliberately dependency-free and runtime-inert: it
+The decorator is deliberately stdlib-only and runtime-inert: it
 stamps ``__repro_effects__`` on the function and returns it unchanged,
-so it composes with dataclasses, pickling, and bound methods.
+so it composes with dataclasses, pickling, and bound methods, and
+importing it loads none of the checker.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import Callable, TypeVar
 
-#: Attribute set on decorated functions, read by the analyzer via AST
+#: Attribute set on decorated functions, read by the checker via AST
 #: (the decorator call is visible syntactically) and by tooling at
 #: runtime via :func:`declared_effects`.
 EFFECTS_ATTR = "__repro_effects__"
@@ -59,7 +60,7 @@ def locked_target(spec: str) -> str | None:
 
 def effects(*specs: str) -> Callable[[F], F]:
     """Declare a function's concurrency effects (validated by
-    ``repro analyze``); returns the function unchanged."""
+    ``repro lint``); returns the function unchanged."""
     for spec in specs:
         if not is_valid_effect(spec):
             raise ValueError(

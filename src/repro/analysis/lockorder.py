@@ -1,4 +1,4 @@
-"""Lock-order and blocking-under-lock analysis.
+"""Lock-order, blocking-under-lock and effect-annotation passes.
 
 The service and telemetry layers hold a small, named set of locks
 (catalog ``_lock`` / ``_kernel_lock``, cache ``_lock``, scheduler
@@ -28,6 +28,12 @@ is unique across the inferred registry.
 Scope: modules under ``repro.service`` / ``repro.telemetry`` (where the
 named locks live) plus any scanned file outside the ``repro`` package
 (the seeded violation corpus).
+
+**REP204 (effect-annotation-mismatch)** reuses the same lock identity
+and blocking-operation set to check every ``@effects(...)`` /
+``# repro: effect=`` declaration (:mod:`repro.analysis.effects`)
+against the function body. :func:`lock_findings` runs all three rules
+for ``repro lint``.
 """
 
 from __future__ import annotations
@@ -39,8 +45,12 @@ from repro.analysis.callgraph import (
     CallGraph,
     FunctionInfo,
     _iter_own_statements,
+    _resolve_call,
+    display_path,
 )
+from repro.analysis.effects import is_valid_effect, locked_target
 from repro.sanitizers.determinism import _KERNEL_CONSTRUCTORS
+from repro.sanitizers.rules import Finding
 
 #: Callable names treated as blocking under a fast lock.
 BLOCKING_ATTRS = frozenset(
@@ -80,23 +90,23 @@ def is_fast_lock(lock_id: str) -> bool:
 
 @dataclass(frozen=True)
 class LockEdge:
-    """``held`` is locked when ``acquired`` is taken at ``display:line``
+    """``held`` is locked when ``acquired`` is taken at ``path:line``
     (``via`` names the call chain hop, empty for a nested ``with``)."""
 
     held: str
     acquired: str
-    display: str
+    path: str
     line: int
     via: str
 
 
 @dataclass(frozen=True)
 class BlockingSite:
-    """A blocking operation at ``display:line`` while ``held`` is locked."""
+    """A blocking operation at ``path:line`` while ``held`` is locked."""
 
     held: str
     operation: str
-    display: str
+    path: str
     line: int
     via: str
 
@@ -149,7 +159,7 @@ class _LockAnalysis:
         #: Locks a function (transitively) may acquire when called.
         self.trans: dict[str, set[str]] = {}
         #: Blocking ops a function (transitively) may perform:
-        #: qualname -> sorted (operation, display, line).
+        #: qualname -> sorted (operation, path, line).
         self.blocks: dict[str, set[tuple[str, str, int]]] = {}
 
     # -- lock identity ---------------------------------------------------------
@@ -186,7 +196,7 @@ class _LockAnalysis:
             elif isinstance(node, ast.Call):
                 op = self._blocking_name(node, info)
                 if op is not None:
-                    blocking.add((op, info.display, node.lineno))
+                    blocking.add((op, info.path, node.lineno))
         self.direct[qual] = acquired
         self.blocks[qual] = blocking
 
@@ -242,10 +252,10 @@ class _LockAnalysis:
             info = self.scope[qual]
             self._walk_with(info.node, info, (), edges, blocking)
         return (
-            sorted(edges, key=lambda e: (e.held, e.acquired, e.display, e.line)),
+            sorted(edges, key=lambda e: (e.held, e.acquired, e.path, e.line)),
             sorted(
                 blocking,
-                key=lambda b: (b.held, b.display, b.line, b.operation),
+                key=lambda b: (b.held, b.path, b.line, b.operation),
             ),
         )
 
@@ -273,7 +283,7 @@ class _LockAnalysis:
                         for outer in inner:
                             edges.add(
                                 LockEdge(
-                                    outer, lock, info.display,
+                                    outer, lock, info.path,
                                     child.lineno, "",
                                 )
                             )
@@ -311,7 +321,7 @@ class _LockAnalysis:
                     if is_fast_lock(lock):
                         blocking.add(
                             BlockingSite(
-                                lock, op, info.display, node.lineno, ""
+                                lock, op, info.path, node.lineno, ""
                             )
                         )
         # Call-derived facts: locks and blocking ops of the callee chain.
@@ -324,25 +334,86 @@ class _LockAnalysis:
                     if outer != lock:
                         edges.add(
                             LockEdge(
-                                outer, lock, info.display,
+                                outer, lock, info.path,
                                 node.lineno, callee,
                             )
                         )
-            for op_name, disp, line in sorted(self.trans_blocks.get(callee, ())):
+            for op_name, path, line in sorted(self.trans_blocks.get(callee, ())):
                 for lock in held:
                     if is_fast_lock(lock):
                         blocking.add(
-                            BlockingSite(lock, op_name, disp, line, callee)
+                            BlockingSite(lock, op_name, path, line, callee)
                         )
 
     def _receiver_lock(self, recv: ast.AST, info: FunctionInfo) -> str | None:
         return self.lock_of(recv, info) if isinstance(recv, ast.Attribute) else None
 
     def _callees_at(self, call: ast.Call, info: FunctionInfo) -> tuple[str, ...]:
-        from repro.analysis.callgraph import _resolve_call
-
         mod = self.graph.modules[info.path]
         return tuple(sorted(_resolve_call(self.graph, mod, info, call)))
+
+
+# -- effect annotations (REP204) -----------------------------------------------
+def _effect_findings(graph: CallGraph) -> list[Finding]:
+    analysis = _LockAnalysis(graph)
+    out: list[Finding] = []
+    for qual in sorted(graph.functions):
+        info = graph.functions[qual]
+        for spec in info.effects:
+            message: str | None = None
+            if not is_valid_effect(spec):
+                message = f"unknown effect {spec!r}"
+            elif spec == "pure":
+                reason = _impure_reason(info, analysis)
+                if reason is not None:
+                    message = f"declared pure but {reason}"
+            else:
+                lock = locked_target(spec)
+                if lock is not None and not _acquires_named_lock(
+                    info, analysis, lock
+                ):
+                    message = f"declared locked:{lock} but never acquires it"
+            if message is not None:
+                out.append(Finding("REP204", info.path, info.lineno, 1, message))
+    return out
+
+
+def _impure_reason(info: FunctionInfo, analysis: _LockAnalysis) -> str | None:
+    for node in _iter_own_statements(info.node):
+        if isinstance(node, (ast.Assign, ast.AugAssign)) or (
+            isinstance(node, ast.AnnAssign) and node.value is not None
+        ):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                if isinstance(target, (ast.Attribute, ast.Subscript)):
+                    return "stores to an attribute/container"
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if analysis.lock_of(item.context_expr, info) is not None:
+                    return "acquires a lock"
+        if isinstance(node, ast.Call):
+            # Same operation set (and str.join exemption) as REP203.
+            op = analysis._blocking_name(node, info)
+            if op is not None:
+                return f"performs blocking call .{op}()"
+    return None
+
+
+def _acquires_named_lock(
+    info: FunctionInfo, analysis: _LockAnalysis, lock: str
+) -> bool:
+    for node in _iter_own_statements(info.node):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                found = analysis.lock_of(item.context_expr, info)
+                if found is not None and (
+                    found == lock or found.endswith(f".{lock}") or
+                    found.rpartition(".")[2] == lock
+                ):
+                    return True
+    return False
 
 
 def find_lock_cycles(
@@ -391,3 +462,35 @@ def analyze_locks(
     analysis = _LockAnalysis(graph)
     edges, blocking = analysis.edges_and_blocking()
     return edges, find_lock_cycles(edges), blocking
+
+
+def lock_findings(graph: CallGraph) -> list[Finding]:
+    """REP202, REP203 and REP204 findings over the program, before noqa
+    suppression."""
+    _, cycles, blocking = analyze_locks(graph)
+    out: list[Finding] = []
+    for cycle_locks, cycle_edges in cycles:
+        first = cycle_edges[0]
+        ring = " -> ".join(cycle_locks + (cycle_locks[0],))
+        sites = "; ".join(
+            f"{e.held}->{e.acquired} at {display_path(e.path)}:{e.line}"
+            + (f" via {e.via}" if e.via else "")
+            for e in cycle_edges
+        )
+        out.append(
+            Finding(
+                "REP202", first.path, first.line, 1,
+                f"lock-order cycle {ring} ({sites})",
+            )
+        )
+    for site in blocking:
+        out.append(
+            Finding(
+                "REP203", site.path, site.line, 1,
+                f"blocking operation .{site.operation}() while holding "
+                f"{site.held}"
+                + (f" (reached via {site.via})" if site.via else ""),
+            )
+        )
+    out.extend(_effect_findings(graph))
+    return out

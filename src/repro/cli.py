@@ -7,7 +7,8 @@ Commands:
   from the calibrated model;
 - ``specs`` — print Table 1;
 - ``generate`` — write a Kronecker edge list to disk;
-- ``lint`` — determinism lint over the sources (CI gate);
+- ``lint`` — determinism, lock-order and effect checks over the
+  sources (CI gate);
 - ``prove-mesh`` — statically prove a shuffle schedule conflict- and
   deadlock-free;
 - ``sanitize`` — double-run determinism check (digest diff);
@@ -197,7 +198,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Determinism lint: AST rules + optional mesh proof, CI-gateable."""
+    """Static checks (REP1xx per file, REP2xx whole program), CI-gateable."""
     import pathlib
 
     from repro.sanitizers import RULES, lint_paths
@@ -211,58 +212,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         # Default to the installed package sources.
         paths = [str(pathlib.Path(__file__).resolve().parent)]
     report = lint_paths(paths, scope=args.scope)
-    if args.format == "json":
-        rendered = report.to_json()
-    elif args.format == "sarif":
-        rendered = report.to_sarif()
-    else:
-        rendered = report.render_text()
-    if args.output:
-        pathlib.Path(args.output).write_text(rendered + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(rendered)
-    return 0 if report.ok else 1
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Interprocedural analysis: lock order, blocking under lock, effects."""
-    import pathlib
-
-    from repro.analysis import (
-        ANALYSIS_RULES,
-        analyze_paths,
-        default_baseline_path,
-        load_baseline,
-        write_baseline,
-    )
-
-    if args.list_rules:
-        for rule in ANALYSIS_RULES.values():
-            print(f"{rule.id} [{rule.scope}] {rule.name}: {rule.summary}")
-        return 0
-    paths = args.paths
-    if not paths:
-        paths = [str(pathlib.Path(__file__).resolve().parent)]
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        baseline_path = default_baseline_path(paths)
-    baseline = None
-    if (
-        baseline_path is not None
-        and not args.no_baseline
-        and pathlib.Path(baseline_path).is_file()
-    ):
-        baseline = load_baseline(baseline_path)
-    report = analyze_paths(paths, baseline=baseline)
-    if args.write_baseline:
-        target = baseline_path or str(
-            pathlib.Path(paths[0]).resolve().parent / "analysis-baseline.json"
-        )
-        write_baseline(target, report)
-        print(f"wrote baseline {target} ({len(report.findings)} finding(s) "
-              "suppressed)")
-        return 0
     if args.format == "json":
         rendered = report.to_json()
     elif args.format == "sarif":
@@ -690,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="determinism lint over python sources (rule ids REP101-REP109)",
+        help="determinism, lock-order and effect checks over python "
+             "sources (rule ids REP100-REP204)",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: the installed "
@@ -706,31 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
     p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "analyze",
-        help="interprocedural analysis: lock order, blocking-under-lock, "
-             "effect annotations (rule ids REP200-REP204)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to analyze (default: the "
-                        "installed repro package)")
-    p.add_argument("--format", choices=["text", "json", "sarif"],
-                   default="text")
-    p.add_argument("--output", default=None,
-                   help="write findings to this file instead of stdout")
-    p.add_argument("--baseline", default=None,
-                   help="baseline file of suppressed finding ids (default: "
-                        "nearest analysis-baseline.json above the first "
-                        "analyzed path)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file; report all findings")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="suppress every current finding into the baseline "
-                        "file and exit 0")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue and exit")
-    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser(
         "prove-mesh",

@@ -7,7 +7,9 @@ turned into machine-checked properties:
   the simulator sources: wall-clock reads, global RNG, hash-order
   iteration, unsorted set unions, slot-less hot dataclasses,
   service-layer kernel-construction bypasses, bare lock acquires (rule
-  ids REP101-REP109, ``# repro: noqa[RULE]`` suppressions);
+  ids REP100-REP109), plus the whole-program lock-order and effect
+  passes of :mod:`repro.analysis` (REP202-REP204) over the same parsed
+  trees; ``# repro: noqa[RULE]`` suppresses any of them;
 - :mod:`~repro.sanitizers.mesh_prover` — static prover for the Section
   4.3 register-mesh shuffle: role partition, row-then-column direction
   discipline, channel-dependency acyclicity, per-phase port exclusivity
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from repro.sanitizers.determinism import (
     iter_python_files,
-    lint_file,
     lint_paths,
     lint_source,
 )
@@ -56,7 +57,6 @@ __all__ = [
     "Finding",
     "LintReport",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "iter_python_files",
     "sarif_document",

@@ -10,14 +10,20 @@ inference, so it only flags *syntactic* hazards (a ``set()`` call it can
 see, not a variable that happens to hold a set). That keeps it fast and
 false-positive-light; the runtime sanitizers in
 :mod:`repro.sanitizers.runtime` catch what escapes the syntax.
+
+This module also drives ``repro lint`` as a whole: each file is parsed
+once, the visitor runs on each tree, and the same trees feed the call
+graph behind the REP2xx lock-order and effect passes
+(:mod:`repro.analysis.lockorder`).
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
+from repro.errors import ConfigError
 from repro.sanitizers.rules import (
     RULES,
     Finding,
@@ -403,43 +409,66 @@ def _scan_bare_acquires(tree: ast.AST, visitor: _LintVisitor) -> None:
     visit(tree, frozenset())
 
 
-def lint_source(
-    source: str, path: str = "<string>", scope: str | None = None
-) -> LintReport:
-    """Lint one file's source text; ``scope`` overrides path-based scoping."""
-    report = LintReport(checked_files=1)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        report.findings.append(
-            Finding(
-                rule="REP100",
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                message=f"file does not parse: {exc.msg}",
+def _lint(sources: Mapping[str, str], scope: str | None) -> LintReport:
+    """Every rule over ``{path: source}``; ``scope`` overrides path-based
+    scoping of the REP1xx rules."""
+    # The whole-program passes import this package back (Finding), so
+    # they load at call time.
+    from repro.analysis.callgraph import build_callgraph
+    from repro.analysis.lockorder import lock_findings
+
+    findings: list[Finding] = []
+    parsed: dict[str, tuple[ast.Module, list[str]]] = {}
+    for path, source in sources.items():
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    rule="REP100",
+                    path=path,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    message=f"file does not parse: {exc.msg}",
+                )
             )
+            continue
+        visitor = _LintVisitor(
+            path, scope if scope is not None else path_scope(path)
         )
-        return report
-    visitor = _LintVisitor(path, scope if scope is not None else path_scope(path))
-    visitor.visit(tree)
-    _scan_bare_acquires(tree, visitor)
-    lines = source.splitlines()
-    for finding in visitor.findings:
+        visitor.visit(tree)
+        _scan_bare_acquires(tree, visitor)
+        findings.extend(visitor.findings)
+        parsed[path] = (tree, source.splitlines())
+    findings.extend(lock_findings(build_callgraph(parsed)))
+
+    report = LintReport(checked_files=len(sources))
+    for finding in findings:
+        lines = parsed[finding.path][1] if finding.path in parsed else []
         if is_suppressed(finding, lines):
             report.suppressed += 1
         else:
             report.findings.append(finding)
+    report.findings.sort(
+        key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
+    )
     return report
 
 
-def lint_file(path: str, scope: str | None = None) -> LintReport:
-    with open(path, encoding="utf-8") as fh:
-        return lint_source(fh.read(), path=path, scope=scope)
+def lint_source(
+    source: str, path: str = "<string>", scope: str | None = None
+) -> LintReport:
+    """Lint one file's source text; ``scope`` overrides path-based scoping."""
+    return _lint({path: source}, scope)
 
 
 def iter_python_files(paths: Iterable[str]) -> list[str]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
+    """Expand files/directories into a sorted list of ``.py`` files.
+
+    A path that is neither a directory nor an existing ``.py`` file
+    raises :class:`~repro.errors.ConfigError`, so a typo cannot pass a
+    gate as "0 findings in 0 files".
+    """
     out: list[str] = []
     for p in paths:
         if os.path.isdir(p):
@@ -452,18 +481,17 @@ def iter_python_files(paths: Iterable[str]) -> list[str]:
                     for f in sorted(filenames)
                     if f.endswith(".py")
                 )
-        elif p.endswith(".py"):
+        elif p.endswith(".py") and os.path.isfile(p):
             out.append(p)
+        else:
+            raise ConfigError(f"not a directory or .py file: {p}")
     return sorted(dict.fromkeys(out))
 
 
 def lint_paths(paths: Iterable[str], scope: str | None = None) -> LintReport:
     """Lint every ``.py`` file under ``paths``; one merged report."""
-    merged = LintReport()
+    sources: dict[str, str] = {}
     for path in iter_python_files(paths):
-        single = lint_file(path, scope=scope)
-        merged.findings.extend(single.findings)
-        merged.suppressed += single.suppressed
-        merged.checked_files += 1
-    merged.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return merged
+        with open(path, encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    return _lint(sources, scope)

@@ -1,11 +1,14 @@
-"""Rule framework for the determinism lint (:mod:`repro.sanitizers`).
+"""Rule framework for ``repro lint`` (:mod:`repro.sanitizers`).
 
 The harness rests on bit-exact reproducibility claims — batched == scalar
 message paths, worker-count-invariant telemetry, seed-replayable faults —
 that a single stray wall-clock read or unordered ``set`` iteration silently
-voids. Each hazard class is a :class:`Rule` with a stable id; the AST pass
-in :mod:`repro.sanitizers.determinism` emits :class:`Finding` objects that
-render as human text or JSON and honour per-line suppressions::
+voids, and the service on a lock discipline a single blocking call under
+the wrong lock breaks. Each hazard class is a :class:`Rule` with a stable
+id: REP1xx come from the per-file AST pass in
+:mod:`repro.sanitizers.determinism`, REP2xx from the whole-program passes
+in :mod:`repro.analysis.lockorder`. Both emit :class:`Finding` objects that
+render as human text, JSON or SARIF and honour per-line suppressions::
 
     peers = set(a) | set(b)  # repro: noqa[REP104]
 
@@ -54,6 +57,12 @@ class Rule:
 RULES: dict[str, Rule] = {
     r.id: r
     for r in (
+        Rule(
+            "REP100",
+            "parse-error",
+            "file does not parse; no rule can vouch for it",
+            "repro",
+        ),
         Rule(
             "REP101",
             "wall-clock-read",
@@ -110,6 +119,32 @@ RULES: dict[str, Rule] = {
             "taker — use 'with lock:' (or release in a finally)",
             "repro",
         ),
+        Rule(
+            "REP202",
+            "lock-order-cycle",
+            "cycle in the lock-acquisition graph (lock B taken while A is "
+            "held and, elsewhere, A while B is held) — a potential deadlock "
+            "the moment two threads walk the cycle from different ends",
+            "repro",
+        ),
+        Rule(
+            "REP203",
+            "blocking-under-lock",
+            "blocking operation (socket I/O, kernel construction/execution, "
+            "Condition.wait on another lock, sleep/join/result) while "
+            "holding a fast catalog/cache lock that every admission and "
+            "lookup crosses",
+            "repro",
+        ),
+        Rule(
+            "REP204",
+            "effect-annotation-mismatch",
+            "an @effects(...) / '# repro: effect=' declaration the AST "
+            "contradicts (a 'pure' function that stores, locks or blocks, "
+            "a 'locked:<name>' function that does not acquire the named "
+            "lock)",
+            "repro",
+        ),
     )
 }
 
@@ -130,7 +165,7 @@ class Finding:
     def to_dict(self) -> dict:
         return {
             "rule": self.rule,
-            "name": RULES[self.rule].name if self.rule in RULES else "",
+            "name": RULES[self.rule].name,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -177,8 +212,7 @@ class LintReport:
         )
 
     def to_sarif(self) -> str:
-        """SARIF 2.1.0 rendering (GitHub code scanning ingestion); shares
-        the exporter with ``repro analyze``."""
+        """SARIF 2.1.0 rendering (GitHub code scanning ingestion)."""
         from repro.sanitizers.sarif import sarif_document
 
         return sarif_document(

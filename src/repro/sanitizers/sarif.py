@@ -1,15 +1,14 @@
-"""Shared SARIF 2.1.0 exporter for ``repro lint`` and ``repro analyze``.
+"""SARIF 2.1.0 exporter for ``repro lint``.
 
 SARIF (Static Analysis Results Interchange Format) is what GitHub code
-scanning ingests; emitting it lets both gates annotate pull requests
+scanning ingests; emitting it lets the gate annotate pull requests
 instead of only failing them. One run object per invocation, one
 ``result`` per finding, rule metadata carried in the driver so the UI
 can show the catalogue summary next to each annotation.
 
 The document is deterministic: rules and results are emitted in the
-order given (callers pass sorted findings), and no timestamps or
-absolute paths are included — the byte-identical double-run test covers
-the analyzer's SARIF output too.
+order given (callers pass sorted findings), and no timestamps are
+included — the byte-identical double-run test covers the SARIF output.
 """
 
 from __future__ import annotations

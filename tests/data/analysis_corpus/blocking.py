@@ -1,6 +1,6 @@
 """Seed for REP203: blocking socket I/O under a catalog fast lock.
 
-``FrontCatalog._lock`` is a fast lock by the analyzer's policy (a
+``FrontCatalog._lock`` is a fast lock by the checker's policy (a
 ``_lock`` attribute on a ``*Catalog`` class — the kind every admission
 and lookup crosses). ``publish`` blocks under it directly;
 ``publish_all`` blocks through a call hop (``_flush``), which only the

@@ -1,47 +1,55 @@
-"""Tests for :mod:`repro.analysis` — the interprocedural analyzer.
+"""Tests for :mod:`repro.analysis` — the whole-program lint passes.
 
-Covers the seeded violation corpus (every rule detected, stable
-finding ids), determinism (two runs over ``src/repro`` render
-byte-identical JSON), the clean-tree CI gate, baseline round-trips
-(suppress -> clean -> un-suppress -> finding returns), effect
-annotation plumbing, the REP109 bare-acquire lint, and SARIF output.
+Covers the seeded violation corpus (every REP2xx rule detected, exact
+counts), determinism (two ``repro lint`` runs over ``src/repro`` render
+byte-identical JSON), the clean-tree CI gate, effect annotation
+plumbing, the REP109 bare-acquire lint, SARIF output, and the service's
+import graph staying free of the checker.
 """
 
+import ast
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.analysis import (
-    ANALYSIS_RULES,
-    analyze_paths,
-    build_callgraph,
-    declared_effects,
-    effects,
+from repro.analysis.callgraph import build_callgraph
+from repro.analysis.effects import declared_effects, effects, parse_effect_comment
+from repro.analysis.lockorder import (
+    LockEdge,
+    analyze_locks,
+    find_lock_cycles,
     is_fast_lock,
-    load_baseline,
-    parse_effect_comment,
-    write_baseline,
 )
-from repro.analysis.lockorder import LockEdge, analyze_locks, find_lock_cycles
 from repro.cli import main
-from repro.sanitizers import lint_source
+from repro.sanitizers import RULES, iter_python_files, lint_paths, lint_source
 
 HERE = os.path.dirname(__file__)
 CORPUS = os.path.join(HERE, "data", "analysis_corpus")
 SRC = os.path.abspath(os.path.join(HERE, "..", "src", "repro"))
+CORPUS_COUNTS = {"REP202": 1, "REP203": 2, "REP204": 4}
 
 
 def corpus_report():
-    return analyze_paths([CORPUS])
+    return lint_paths([CORPUS])
+
+
+def src_callgraph():
+    parsed = {}
+    for path in iter_python_files([SRC]):
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        parsed[path] = (ast.parse(source), source.splitlines())
+    return build_callgraph(parsed)
 
 
 # --- seeded corpus: every rule detected ---------------------------------------
 def test_corpus_trips_every_interprocedural_rule():
     report = corpus_report()
     assert not report.ok
-    rules = {f.rule for f in report.findings}
-    assert rules == {"REP202", "REP203", "REP204"}
+    assert report.counts() == CORPUS_COUNTS
 
 
 def test_corpus_lock_cycle_names_both_edges():
@@ -51,15 +59,23 @@ def test_corpus_lock_cycle_names_both_edges():
     (finding,) = rep202
     assert "MirrorCatalog._lock" in finding.message
     assert "MirrorCache._lock" in finding.message
-    assert finding.detail.startswith("cycle:")
+    assert finding.message.startswith(
+        "lock-order cycle MirrorCache._lock -> MirrorCatalog._lock -> "
+        "MirrorCache._lock ("
+    )
 
 
 def test_corpus_blocking_under_lock_direct_and_via_hop():
     report = corpus_report()
     rep203 = [f for f in report.findings if f.rule == "REP203"]
     assert len(rep203) == 2
-    vias = {f.detail.rpartition(":")[2] for f in rep203}
-    assert "blocking.FrontCatalog._flush" in vias  # the one-hop seed
+    messages = sorted(f.message for f in rep203)
+    assert messages == [
+        "blocking operation .sendall() while holding FrontCatalog._lock",
+        # the one-hop seed
+        "blocking operation .sendall() while holding FrontCatalog._lock "
+        "(reached via blocking.FrontCatalog._flush)",
+    ]
 
 
 def test_corpus_effect_mismatches_all_four_shapes():
@@ -73,34 +89,10 @@ def test_corpus_effect_mismatches_all_four_shapes():
     assert "unknown effect 'frozen'" in messages
 
 
-# --- finding ids: stable and line-independent ---------------------------------
-def test_finding_ids_stable_across_runs():
-    a = {f.fid for f in corpus_report().findings}
-    b = {f.fid for f in corpus_report().findings}
-    assert a == b
-    assert all(len(fid) == 12 for fid in a)
-
-
-def test_finding_id_survives_line_shifts(tmp_path):
-    src = (
-        "class Relay:\n"
-        "    def _bump(self, msg):  # repro: effect=pure\n"
-        "        self.delivered += 1\n"
-    )
-    p1 = tmp_path / "mod.py"
-    p1.write_text(src)
-    fids1 = [f.fid for f in analyze_paths([str(p1)]).findings]
-    # Shift everything down: ids must not change (they hash content,
-    # not line numbers).
-    p1.write_text("# a comment\n# another\n\n" + src)
-    fids2 = [f.fid for f in analyze_paths([str(p1)]).findings]
-    assert fids1 == fids2 and fids1
-
-
 # --- determinism: byte-identical double run over the real tree ----------------
 def test_analyzer_json_byte_identical_over_src():
-    first = analyze_paths([SRC]).to_json()
-    second = analyze_paths([SRC]).to_json()
+    first = lint_paths([SRC]).to_json()
+    second = lint_paths([SRC]).to_json()
     assert first == second
 
 
@@ -110,53 +102,19 @@ def test_analyzer_sarif_byte_identical_over_corpus():
 
 # --- the repo itself is clean (the CI gate) -----------------------------------
 def test_repo_sources_analyze_clean():
-    report = analyze_paths([SRC])
+    report = lint_paths([SRC])
     assert report.ok, report.render_text()
     assert report.checked_files > 90
-    assert report.functions > 500
+    assert len(src_callgraph().functions) > 500
 
 
 def test_repo_lock_pass_finds_catalog_kernel_edge_and_no_cycles():
-    graph = build_callgraph([SRC])
+    graph = src_callgraph()
     edges, cycles, blocking = analyze_locks(graph)
     assert cycles == []
     assert blocking == []
     pairs = {(e.held, e.acquired) for e in edges}
     assert ("GraphCatalog._lock", "CatalogEntry._kernel_lock") in pairs
-
-
-# --- baseline round-trip ------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    report = corpus_report()
-    assert not report.ok
-    baseline_path = str(tmp_path / "analysis-baseline.json")
-    write_baseline(baseline_path, report)
-
-    # Suppressed: the same tree analyzes clean.
-    baseline = load_baseline(baseline_path)
-    suppressed = analyze_paths([CORPUS], baseline=baseline)
-    assert suppressed.ok
-    assert len(suppressed.baselined) == len(report.findings)
-    assert suppressed.stale_baseline == ()
-
-    # Un-suppress one finding: exactly that finding returns.
-    doc = json.loads(open(baseline_path).read())
-    removed = doc["suppress"].pop(0)
-    partial = {e["id"]: e for e in doc["suppress"]}
-    reanalyzed = analyze_paths([CORPUS], baseline=partial)
-    assert not reanalyzed.ok
-    assert [f.fid for f in reanalyzed.findings] == [removed["id"]]
-
-
-def test_stale_baseline_entries_reported(tmp_path):
-    baseline = {"deadbeef0000": {"id": "deadbeef0000", "rule": "REP202"}}
-    report = analyze_paths([CORPUS], baseline=baseline)
-    assert report.stale_baseline == ("deadbeef0000",)
-
-
-def test_committed_baseline_is_empty():
-    committed = os.path.join(HERE, "..", "analysis-baseline.json")
-    assert load_baseline(committed) == {}
 
 
 # --- effect annotation plumbing -----------------------------------------------
@@ -189,7 +147,7 @@ def test_noqa_suppresses_analysis_finding(tmp_path):
     )
     p = tmp_path / "mod.py"
     p.write_text(src)
-    report = analyze_paths([str(p)])
+    report = lint_paths([str(p)])
     assert report.ok
     assert report.suppressed == 1
 
@@ -266,42 +224,51 @@ def test_rep109_with_statement_is_clean():
     assert lint_source(src, path="x.py").ok
 
 
+# --- the runtime stays off the checker's import graph ------------------------
+def test_service_import_leaves_checker_unloaded():
+    code = (
+        "import sys, repro.service\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(("
+        "'repro.sanitizers', 'repro.analysis.callgraph', "
+        "'repro.analysis.lockorder')))\n"
+        "print(loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 # --- CLI ----------------------------------------------------------------------
 def test_cli_analyze_clean_tree_exits_zero(tmp_path):
-    out = tmp_path / "analysis.json"
-    rc = main(["analyze", SRC, "--format", "json", "--output", str(out)])
+    # The service tree, where the named locks live, on its own.
+    out = tmp_path / "findings.json"
+    service = os.path.join(SRC, "service")
+    rc = main(["lint", service, "--format", "json", "--output", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] is True and doc["findings"] == []
 
 
 def test_cli_analyze_nonzero_on_corpus(capsys):
-    rc = main(["analyze", "--no-baseline", CORPUS, "--format", "json"])
+    rc = main(["lint", CORPUS, "--format", "json"])
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc["counts"]) == {"REP202", "REP203", "REP204"}
-
-
-def test_cli_analyze_write_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "analysis-baseline.json"
-    rc = main([
-        "analyze", CORPUS, "--baseline", str(baseline), "--write-baseline",
-    ])
-    assert rc == 0
-    capsys.readouterr()
-    rc = main(["analyze", CORPUS, "--baseline", str(baseline)])
-    assert rc == 0
+    assert doc["counts"] == CORPUS_COUNTS
 
 
 def test_cli_analyze_sarif_output(capsys):
-    rc = main(["analyze", "--no-baseline", CORPUS, "--format", "sarif"])
+    rc = main(["lint", CORPUS, "--format", "sarif"])
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
     results = doc["runs"][0]["results"]
-    assert {r["ruleId"] for r in results} == {"REP202", "REP203", "REP204"}
+    assert {r["ruleId"] for r in results} == set(CORPUS_COUNTS)
     rule_ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
-    assert rule_ids == sorted(ANALYSIS_RULES)
+    assert rule_ids == list(RULES)
+    assert all(rule_ids[r["ruleIndex"]] == r["ruleId"] for r in results)
 
 
 def test_cli_lint_sarif_output(capsys):
@@ -316,7 +283,7 @@ def test_cli_lint_sarif_output(capsys):
 
 
 def test_cli_analyze_list_rules(capsys):
-    assert main(["analyze", "--list-rules"]) == 0
+    assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ANALYSIS_RULES:
+    for rule_id in ("REP100", "REP202", "REP203", "REP204"):
         assert rule_id in out

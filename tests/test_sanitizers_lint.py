@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigError
 from repro.sanitizers import RULES, lint_paths, lint_source
 from repro.sanitizers.rules import parse_noqa, path_scope
 
@@ -17,6 +18,9 @@ FIXTURE = os.path.join(
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
 )
+#: The per-file AST rules the fixture trips (REP100 needs a file that
+#: does not parse; REP2xx need locks and effect annotations).
+SYNTACTIC_RULES = {r for r in RULES if r.startswith("REP1")} - {"REP100"}
 
 
 def rules_hit(report) -> set[str]:
@@ -157,6 +161,15 @@ def test_syntax_error_reported_not_raised():
     assert [f.rule for f in report.findings] == ["REP100"]
 
 
+def test_syntax_error_is_catalogued():
+    report = lint_source("def f(:\n", path="src/repro/core/x.py")
+    assert report.findings[0].to_dict()["name"] == "parse-error"
+    doc = json.loads(report.to_sarif())
+    (result,) = doc["runs"][0]["results"]
+    rules = doc["runs"][0]["tool"]["driver"]["rules"]
+    assert rules[result["ruleIndex"]]["id"] == "REP100"
+
+
 # --- suppressions and scope ---------------------------------------------------
 def test_noqa_blanket_and_targeted():
     assert parse_noqa("x = 1  # repro: noqa") == frozenset()
@@ -192,7 +205,7 @@ def test_scope_override_forces_sim_core_rules():
 # --- the fixture exercises every rule -----------------------------------------
 def test_fixture_trips_every_rule():
     report = lint_paths([FIXTURE], scope="sim-core")
-    assert rules_hit(report) == set(RULES) - {"REP108"}
+    assert rules_hit(report) == SYNTACTIC_RULES - {"REP108"}
     assert not report.ok
     # The service-layer rule needs the service scope to fire.
     service = lint_paths([FIXTURE], scope="service")
@@ -220,7 +233,7 @@ def test_cli_lint_nonzero_on_fixture(capsys):
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
     # REP108 is a service-layer rule; the sim-core pass fires the rest.
-    assert set(doc["counts"]) == set(RULES) - {"REP108"}
+    assert set(doc["counts"]) == SYNTACTIC_RULES - {"REP108"}
 
 
 def test_cli_lint_service_scope_on_fixture(capsys):
@@ -228,6 +241,15 @@ def test_cli_lint_service_scope_on_fixture(capsys):
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
     assert "REP108" in doc["counts"]
+
+
+def test_missing_or_non_python_path_is_an_error(tmp_path):
+    with pytest.raises(ConfigError, match="does/not/exist"):
+        main(["lint", "does/not/exist"])
+    notes = tmp_path / "README.md"
+    notes.write_text("not python\n")
+    with pytest.raises(ConfigError, match="README.md"):
+        lint_paths([str(notes)])
 
 
 def test_cli_list_rules(capsys):
