@@ -203,19 +203,12 @@ class DistributedBFS:
 
         # --- runtime sanitizers (opt-in; repro.sanitizers.runtime) --------------
         #: SPM write-conflict detector, consulted per shuffle in
-        #: ``_send_buckets``; installed here via ``config.sanitize`` or
-        #: post-construction by ``Graph500Runner(sanitize=True)``.
+        #: ``_send_buckets``; installed after the reliable channel below via
+        #: ``config.sanitize``, or post-construction by
+        #: ``Graph500Runner(sanitize=True)``.
         self.spm_sanitizer = None
-        #: Message-mutated-after-send detector wrapping the cluster.
+        #: Message-mutated-after-send detector on the cluster's send core.
         self.message_sanitizer = None
-        if self.config.sanitize:
-            from repro.sanitizers.runtime import (
-                MessageSanitizer,
-                SpmWriteSanitizer,
-            )
-
-            self.spm_sanitizer = SpmWriteSanitizer()
-            self.message_sanitizer = MessageSanitizer(self.cluster)
         if self.config.track_connections:
             for i in range(nodes):
                 required = (
@@ -244,6 +237,16 @@ class DistributedBFS:
         self.channel: ReliableChannel | None = None
         if self.resilience.reliable_transport:
             self.channel = ReliableChannel(self.cluster, self.resilience)
+        if self.config.sanitize:
+            # Above the channel's delivery hook, where the runner installs it
+            # too: every wire frame, acks included, is checked at delivery.
+            from repro.sanitizers.runtime import (
+                MessageSanitizer,
+                SpmWriteSanitizer,
+            )
+
+            self.spm_sanitizer = SpmWriteSanitizer()
+            self.message_sanitizer = MessageSanitizer(self.cluster)
         #: Buddy or erasure-coded store per ``resilience.checkpoint_mode``
         #: (built eagerly so an infeasible RS placement fails construction).
         self.checkpoints: CheckpointStore | ShardedCheckpointStore | None = (
@@ -382,26 +385,17 @@ class DistributedBFS:
         elif msg.tag == "fwd_relay":
             execution = state.pipeline.submit_module(ready, "forward_relay", nbytes)
             self._mark(execution.finish)
-            self._send_stage_two(state, execution, "fwd", u, v, self.owner[v])
+            self._route_records(
+                state, execution, "fwd", u, v, self.owner[v], relay=False
+            )
         elif msg.tag == "bwd_relay":
             execution = state.pipeline.submit_module(ready, "backward_relay", nbytes)
             self._mark(execution.finish)
-            self._send_stage_two(state, execution, "bwd", u, v, self.owner[u])
+            self._route_records(
+                state, execution, "bwd", u, v, self.owner[u], relay=False
+            )
         else:  # pragma: no cover - defensive
             raise ReproError(f"unknown message tag {msg.tag!r}")
-
-    def _cluster_send(
-        self, src: int, dst: int, tag: str, nbytes: int,
-        payload=None, at_time: float | None = None,
-    ) -> None:
-        """All driver traffic funnels through here: the reliable channel
-        when enabled, the raw cluster otherwise. ``cluster.send`` is looked
-        up dynamically so fault injectors installed after construction
-        stay on the path."""
-        if self.channel is not None:
-            self.channel.send(src, dst, tag, nbytes, payload=payload, at_time=at_time)
-        else:
-            self.cluster.send(src, dst, tag, nbytes, payload=payload, at_time=at_time)
 
     def _cluster_send_batch(
         self,
@@ -412,8 +406,10 @@ class DistributedBFS:
         payloads=None,
         at_times=None,
     ) -> None:
-        """Batched counterpart of :meth:`_cluster_send`: one call per module
-        execution instead of one per bucket, same routing rules."""
+        """All driver traffic funnels through here: the reliable channel
+        when enabled, the raw cluster otherwise. ``cluster.send_batch`` is
+        looked up dynamically so fault injectors installed after
+        construction stay on the path."""
         if self.channel is not None:
             self.channel.send_batch(
                 src, dests, tag, nbytes, payloads=payloads, at_times=at_times
@@ -465,72 +461,45 @@ class DistributedBFS:
                 hops_sorted[starts],
                 phase=f"node{state.node_id}:{tag}@{execution.start:.9e}",
             )
-        if self.config.batch_messages:
-            starts_l, stops_l = starts.tolist(), stops.tolist()
-            cfg = self.config
-            if cfg.use_codec:
-                nbytes_l = [
-                    cfg.header_bytes + encoded_size(u[a:b], v[a:b])
-                    for a, b in zip(starts_l, stops_l)
-                ]
-            else:
-                # The same ops as _message_bytes per bucket: exact int
-                # product, one float division, truncation.
-                hb, rb = cfg.header_bytes, cfg.record_bytes
-                ratio = cfg.compression_ratio
-                nbytes_l = [
-                    hb + int((b - a) * rb / ratio)
-                    for a, b in zip(starts_l, stops_l)
-                ]
-            if n_buckets == 1:
-                # ready_fractions(1) without the array round trip — the
-                # identical float expression for fraction 1.0.
-                readies_l = [
-                    execution.start + 1.0 * (execution.finish - execution.start)
-                ]
-            else:
-                readies_l = execution.ready_fractions(n_buckets).tolist()
-            send_ats = state.pipeline.submit_send_many(readies_l)
-            self._mark(send_ats[-1])
-            self._cluster_send_batch(
-                state.node_id,
-                hops_sorted[starts].tolist(),
-                tag,
-                nbytes_l,
-                [(u[a:b], v[a:b]) for a, b in zip(starts_l, stops_l)],
-                send_ats,
-            )
-            self._records_sent += len(first_hops)
-            tel = self.telemetry
-            if tel is not None:
-                tel.spans.record(
-                    "message-batch", "batch", readies_l[0], send_ats[-1],
-                    parent=tel.current, tag=tag, buckets=n_buckets,
-                    records=len(first_hops), node=state.node_id,
-                )
-            return
-        for k, (a, b) in enumerate(zip(starts, stops)):
-            dest = int(hops_sorted[a])
-            count = b - a
-            if self.config.use_codec:
-                nbytes = self.config.header_bytes + encoded_size(u[a:b], v[a:b])
-            else:
-                nbytes = self._message_bytes(count)
-            ready = execution.ready_fraction((k + 1) / n_buckets)
-            send_at = state.pipeline.submit_send(ready, nbytes)
-            self._mark(send_at)
-            self._cluster_send(
-                state.node_id, dest, tag, nbytes,
-                payload=(u[a:b], v[a:b]), at_time=send_at,
-            )
-            self._records_sent += count
+        starts_l, stops_l = starts.tolist(), stops.tolist()
+        cfg = self.config
+        if cfg.use_codec:
+            nbytes_l = [
+                cfg.header_bytes + encoded_size(u[a:b], v[a:b])
+                for a, b in zip(starts_l, stops_l)
+            ]
+        else:
+            # The same ops as _message_bytes per bucket: exact int
+            # product, one float division, truncation.
+            hb, rb = cfg.header_bytes, cfg.record_bytes
+            ratio = cfg.compression_ratio
+            nbytes_l = [
+                hb + int((b - a) * rb / ratio)
+                for a, b in zip(starts_l, stops_l)
+            ]
+        if n_buckets == 1:
+            # ready_fractions(1) without the array round trip — the
+            # identical float expression for fraction 1.0.
+            readies_l = [
+                execution.start + 1.0 * (execution.finish - execution.start)
+            ]
+        else:
+            readies_l = execution.ready_fractions(n_buckets).tolist()
+        send_ats = state.pipeline.submit_send_many(readies_l)
+        self._mark(send_ats[-1])
+        self._cluster_send_batch(
+            state.node_id,
+            hops_sorted[starts].tolist(),
+            tag,
+            nbytes_l,
+            [(u[a:b], v[a:b]) for a, b in zip(starts_l, stops_l)],
+            send_ats,
+        )
+        self._records_sent += len(first_hops)
         tel = self.telemetry
         if tel is not None:
-            # Same window the batched branch records: first ready fraction
-            # to last injection (bit-identical expressions on both paths).
             tel.spans.record(
-                "message-batch", "batch",
-                execution.ready_fraction(1 / n_buckets), send_at,
+                "message-batch", "batch", readies_l[0], send_ats[-1],
                 parent=tel.current, tag=tag, buckets=n_buckets,
                 records=len(first_hops), node=state.node_id,
             )
@@ -543,26 +512,24 @@ class DistributedBFS:
         u: np.ndarray,
         v: np.ndarray,
         dest_nodes: np.ndarray,
+        relay: bool = True,
     ) -> None:
         """Deliver records to their owner nodes — locally, directly, or via
-        the group relay, per configuration."""
+        the group relay, per configuration. A relay module forwarding its
+        output passes ``relay=False``: final hops are intra-group by
+        construction."""
         me = state.node_id
         local = dest_nodes == me
         n_local = int(np.count_nonzero(local))
         if n_local:
             lu, lv = u[local], v[local]
             nbytes = self._message_bytes(n_local)
+            module = "forward_handler" if kind == "fwd" else "backward_handler"
+            local_exec = state.pipeline.submit_module(execution.finish, module, nbytes)
+            self._mark(local_exec.finish)
             if kind == "fwd":
-                local_exec = state.pipeline.submit_module(
-                    execution.finish, "forward_handler", nbytes
-                )
-                self._mark(local_exec.finish)
                 state.apply_forward(lu, lv)
             else:
-                local_exec = state.pipeline.submit_module(
-                    execution.finish, "backward_handler", nbytes
-                )
-                self._mark(local_exec.finish)
                 mu, mv = state.match_backward(lu, lv)
                 if len(mu):
                     self._route_records(
@@ -575,7 +542,7 @@ class DistributedBFS:
             ru, rv, rdest = u[remote], v[remote], dest_nodes[remote]
         else:
             ru, rv, rdest = u, v, dest_nodes
-        if not self.config.use_relay:
+        if not (relay and self.config.use_relay):
             self._send_buckets(state, execution, kind, ru, rv, rdest)
             return
         relays = self.groups.relay_vectorised(me, rdest)
@@ -594,45 +561,6 @@ class DistributedBFS:
         self._send_buckets(
             state, execution, f"{kind}_relay", ru[hop], rv[hop], relays[hop]
         )
-
-    def _send_stage_two(
-        self, state: NodeState, execution, kind: str,
-        u: np.ndarray, v: np.ndarray, dest_nodes: np.ndarray,
-    ) -> None:
-        """Relay module output: forward each record to its final owner.
-
-        Final hops are intra-group by construction; records owned by the
-        relay itself are handled locally.
-        """
-        self._route_records_direct_or_local(state, execution, kind, u, v, dest_nodes)
-
-    def _route_records_direct_or_local(
-        self, state, execution, kind, u, v, dest_nodes
-    ) -> None:
-        me = state.node_id
-        local = dest_nodes == me
-        n_local = int(np.count_nonzero(local))
-        if n_local:
-            lu, lv = u[local], v[local]
-            nbytes = self._message_bytes(n_local)
-            module = "forward_handler" if kind == "fwd" else "backward_handler"
-            local_exec = state.pipeline.submit_module(execution.finish, module, nbytes)
-            self._mark(local_exec.finish)
-            if kind == "fwd":
-                state.apply_forward(lu, lv)
-            else:
-                mu, mv = state.match_backward(lu, lv)
-                if len(mu):
-                    self._route_records(state, local_exec, "fwd", mu, mv, self.owner[mv])
-        if n_local == len(dest_nodes):
-            return
-        if n_local:
-            remote = ~local
-            self._send_buckets(
-                state, execution, kind, u[remote], v[remote], dest_nodes[remote]
-            )
-        else:
-            self._send_buckets(state, execution, kind, u, v, dest_nodes)
 
     def _send_termination_markers(self, state: NodeState, t_ready: float) -> None:
         """Per-level end-of-transmission indicators (Section 3.3: "at least
@@ -657,22 +585,11 @@ class DistributedBFS:
         nbytes = self.config.header_bytes
         if not peers:
             return
-        if self.config.batch_messages:
-            send_ats = state.pipeline.submit_send_many([t_ready] * len(peers))
-            self._mark(send_ats[-1])
-            self._cluster_send_batch(
-                state.node_id,
-                peers,
-                "eol",
-                [nbytes] * len(peers),
-                None,
-                send_ats,
-            )
-            return
-        for peer in peers:
-            send_at = state.pipeline.submit_send(t_ready, nbytes)
-            self._mark(send_at)
-            self._cluster_send(state.node_id, peer, "eol", nbytes, at_time=send_at)
+        send_ats = state.pipeline.submit_send_many([t_ready] * len(peers))
+        self._mark(send_ats[-1])
+        self._cluster_send_batch(
+            state.node_id, peers, "eol", [nbytes] * len(peers), None, send_ats
+        )
 
     # -------------------------------------------------------------- collectives --
     def _allreduce_time(self) -> float:

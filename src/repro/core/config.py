@@ -138,14 +138,6 @@ class BFSConfig:
     #: Group width M of the N x M node matrix; None = the super-node size.
     group_width: int | None = None
 
-    # -- harness execution strategy ---------------------------------------------
-    #: Emit one :meth:`~repro.network.simmpi.SimCluster.send_batch` per
-    #: module execution instead of one ``send`` per bucket. Purely a
-    #: simulator-speed knob: results are bit-identical to the scalar path
-    #: (pinned by ``tests/test_message_path_parity.py``); False keeps the
-    #: per-message path, which doubles as the executable specification.
-    batch_messages: bool = True
-
     # -- safety valves ---------------------------------------------------------------
     max_levels: int = 10_000
     track_connections: bool = True

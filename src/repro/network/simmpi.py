@@ -51,9 +51,10 @@ class Message:
 
 Handler = Callable[[Message], None]
 
-#: Batch width at which :meth:`SimCluster.send_batch` switches from the
-#: plain pricing loop to vectorised :meth:`NetworkModel.price_batch` (both
-#: produce bit-identical prices; this is purely a constant-factor choice).
+#: Batch width at which the send core (:meth:`SimCluster._post`) switches
+#: from the plain pricing loop to vectorised
+#: :meth:`NetworkModel.price_batch` (both produce bit-identical prices;
+#: this is purely a constant-factor choice).
 _VECTOR_THRESHOLD = 32
 
 
@@ -147,31 +148,12 @@ class SimCluster:
         """Inject a message; its handler fires at the modelled arrival time.
 
         ``at_time`` lets callers queue a send for when their MPE finishes
-        preparing it; default is engine-now.
+        preparing it; default is engine-now. A one-message batch: it goes
+        straight to the shared core (never through ``send_batch``, so an
+        interceptor wrapping ``send`` is not re-entered).
         """
-        if nbytes < 0:
-            raise ConfigError(f"negative message size: {nbytes}")
-        now = self.engine.now if at_time is None else at_time
-        if at_time is not None and at_time < self.engine.now:
-            raise SimulationError("cannot send in the past")
-        if self.track_connections:
-            self.connections[src].ensure(dst)
-            self.connections[dst].ensure(src)
-        msg = Message(src, dst, tag, nbytes, payload, now, -1.0)
-        self._stat_messages.add()
-        self._stat_bytes.add(nbytes)
-        tel = self.telemetry
-        if tel is not None:
-            tel.metrics.counter("messages_by_tag", tag=tag).add()
-            tel.metrics.counter("bytes_by_tag", tag=tag).add(nbytes)
-        if src != dst and not self.topology.is_intra_super_node(src, dst):
-            self._stat_central_messages.add()
-            self._stat_central_bytes.add(nbytes)
-        # Inject through the engine so link admissions happen in simulated-
-        # time order — the FIFO link servers are only exact under ordered
-        # arrivals (out-of-order future admissions would fabricate idle gaps).
-        self.engine.call_at(now, self._inject, msg)
-        return msg
+        when = self.engine.now if at_time is None else at_time
+        return self._post(src, [dst], tag, [nbytes], (payload,), [when])[0]
 
     def send_batch(
         self,
@@ -212,9 +194,8 @@ class SimCluster:
             raise ConfigError("send_batch arrays must have equal lengths")
         if n == 0:
             return []
-        now = self.engine.now
         if at_times is None:
-            at_list = [now] * n
+            at_list = [self.engine.now] * n
         else:
             if type(at_times) is list:
                 at_list = at_times
@@ -222,8 +203,6 @@ class SimCluster:
                 at_list = np.asarray(at_times, dtype=np.float64).tolist()
             if len(at_list) != n:
                 raise ConfigError("send_batch arrays must have equal lengths")
-            if min(at_list) < now:
-                raise SimulationError("cannot send in the past")
         if "send" in self.__dict__:
             # An interceptor (fault injector) owns the send path; keep its
             # per-message semantics.
@@ -235,11 +214,32 @@ class SimCluster:
                 )
                 for i, (d, nb) in enumerate(zip(dests_l, nbytes_l))
             ]
-        if min(nbytes_l) < 0:
-            raise ConfigError(f"negative message size: {min(nbytes_l)}")
+        return self._post(
+            src, dests_l, tag, nbytes_l,
+            (None,) * n if payloads is None else payloads, at_list,
+        )
+
+    def _post(
+        self,
+        src: int,
+        dests_l: list[int],
+        tag: str,
+        nbytes_l: list[int],
+        payloads: Sequence[Any],
+        at_list: list[float],
+    ) -> list[Message]:
+        """The one way a message enters the fabric: validate, account
+        connections and stats, price each route, and schedule one injection
+        event per message. Inputs are equal-length, non-empty lists."""
+        self.topology.check_node(src)
         if min(dests_l) < 0 or max(dests_l) >= self.topology.num_nodes:
             # Raises with the first bad node named.
             self.topology.check_nodes(np.asarray(dests_l, dtype=np.int64))
+        if min(nbytes_l) < 0:
+            raise ConfigError(f"negative message size: {min(nbytes_l)}")
+        if min(at_list) < self.engine.now:
+            raise SimulationError("cannot send in the past")
+        n = len(dests_l)
         if self.track_connections:
             my_table = self.connections[src]
             my_peers = my_table.peers
@@ -258,7 +258,6 @@ class SimCluster:
         if tel is not None:
             tel.metrics.counter("messages_by_tag", tag=tag).add(n)
             tel.metrics.counter("bytes_by_tag", tag=tag).add(sum(nbytes_l))
-        payload_list = (None,) * n if payloads is None else payloads
         network = self.network
         nic_in, downlink = network.nic_in, network.downlink
         nps = self.topology.nodes_per_super_node
@@ -286,7 +285,7 @@ class SimCluster:
             d_nic, d_trunk = d_nic.tolist(), d_trunk.tolist()
             latency, intra = latency.tolist(), intra.tolist()
             for i, (dst, nb, payload, at) in enumerate(
-                zip(dests_l, nbytes_l, payload_list, at_list)
+                zip(dests_l, nbytes_l, payloads, at_list)
             ):
                 msg = Message(src, dst, tag, nb, payload, at, -1.0)
                 msgs.append(msg)
@@ -317,7 +316,7 @@ class SimCluster:
             n_central = 0
             central_bytes = 0
             for dst, nb, payload, at in zip(
-                dests_l, nbytes_l, payload_list, at_list
+                dests_l, nbytes_l, payloads, at_list
             ):
                 msg = Message(src, dst, tag, nb, payload, at, -1.0)
                 msgs.append(msg)
@@ -346,17 +345,6 @@ class SimCluster:
         self.engine.schedule_batch(at_list, self._inject_batched, argses)
         return msgs
 
-    def _inject(self, msg: Message) -> None:
-        if msg.src in self._dead:
-            # The sender crashed before its NIC got the message out.
-            self._stat_dead_letters.add()
-            return
-        arrival = self.network.transfer(
-            msg.src, msg.dst, msg.nbytes, self.engine.now
-        )
-        msg.arrival_time = arrival
-        self.engine.call_at(arrival, self._deliver, msg)
-
     def _inject_batched(
         self,
         msg: Message,
@@ -371,6 +359,7 @@ class SimCluster:
         already paid once for the whole batch.
         """
         if msg.src in self._dead:
+            # The sender crashed before its NIC got the message out.
             self._stat_dead_letters.add()
             return
         t = self.engine.now

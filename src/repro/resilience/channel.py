@@ -15,12 +15,13 @@ gap the way a user-level reliable transport would:
   after a bounded number of retries.
 
 The channel intercepts the cluster's *delivery* path (so it survives rank
-revival after a crash) and sends through ``cluster.send`` dynamically — a
-fault injector installed on the cluster therefore sits *below* the
-protocol and every retransmission is independently at risk, exactly like
-a lossy wire. Protocol stats flow into the cluster's
-:class:`~repro.sim.stats.StatsRegistry`: ``rt_messages``, ``acks``,
-``retransmits``, ``gave_up``, ``dup_suppressed``, ``corrupt_detected``.
+revival after a crash) and sends through ``cluster.send_batch`` /
+``cluster.send`` looked up dynamically — a fault injector installed on
+the cluster therefore sits *below* the protocol and every retransmission
+is independently at risk, exactly like a lossy wire. Protocol stats flow
+into the cluster's :class:`~repro.sim.stats.StatsRegistry`:
+``rt_messages``, ``acks``, ``retransmits``, ``gave_up``,
+``dup_suppressed``, ``corrupt_detected``.
 """
 
 from __future__ import annotations
@@ -148,15 +149,10 @@ class ReliableChannel:
         payload: Any = None,
         at_time: float | None = None,
     ) -> Message:
-        """Send a data message reliably; same signature as ``cluster.send``."""
-        if tag == ACK_TAG:
-            raise ConfigError(f"tag {ACK_TAG!r} is reserved for the transport")
-        seq = self._next_seq
-        self._next_seq += 1
-        envelope = Envelope(seq, payload_checksum(payload), payload)
-        self._pending[seq] = _Pending(src, dst, tag, nbytes, envelope)
-        self.cluster.stats.counter("rt_messages").add()
-        return self._transmit(seq, at_time)
+        """Send a data message reliably; same signature as ``cluster.send``
+        (a one-message :meth:`send_batch`)."""
+        at_times = None if at_time is None else [at_time]
+        return self.send_batch(src, [dst], tag, [nbytes], [payload], at_times)[0]
 
     def send_batch(
         self,
@@ -206,32 +202,28 @@ class ReliableChannel:
             bases = at_times
         else:
             bases = np.asarray(at_times, dtype=np.float64).tolist()
-        for i in range(n):
-            seq = seq0 + i
-            pending = self._pending[seq]
-            timeout = (
-                self.config.ack_timeout
-                * self.config.backoff_factor ** pending.attempt
-            )
-            timeout *= 1.0 + self.config.jitter_fraction * float(self._rng.random())
-            pending.timer = self.engine.call_at(
-                bases[i] + timeout, self._on_timeout, seq, pending.attempt
-            )
+        for i, base in enumerate(bases):
+            self._arm_timer(seq0 + i, base)
         return msgs
 
-    def _transmit(self, seq: int, at_time: float | None = None) -> Message:
+    def _arm_timer(self, seq: int, base: float) -> None:
+        """Schedule the retransmit timeout of frame ``seq``: exponential
+        backoff in its attempt count, with one seeded jitter draw."""
         pending = self._pending[seq]
-        msg = self.cluster.send(
-            pending.src, pending.dst, pending.tag, pending.nbytes,
-            payload=pending.envelope, at_time=at_time,
-        )
-        base = at_time if at_time is not None else self.engine.now
         timeout = self.config.ack_timeout * self.config.backoff_factor ** pending.attempt
         timeout *= 1.0 + self.config.jitter_fraction * float(self._rng.random())
         pending.timer = self.engine.call_at(
             base + timeout, self._on_timeout, seq, pending.attempt
         )
-        return msg
+
+    def _transmit(self, seq: int) -> None:
+        """Retransmit frame ``seq`` now and re-arm its timer."""
+        pending = self._pending[seq]
+        self.cluster.send(
+            pending.src, pending.dst, pending.tag, pending.nbytes,
+            payload=pending.envelope,
+        )
+        self._arm_timer(seq, self.engine.now)
 
     def _on_timeout(self, seq: int, attempt: int) -> None:
         pending = self._pending.get(seq)

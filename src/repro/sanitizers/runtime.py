@@ -217,11 +217,14 @@ class MessageSanitizer:
     arrive sooner after its ``send_time`` than the propagation latency
     between its endpoints.
 
-    Installs by wrapping the cluster's ``send``/``send_batch`` (instance
-    attributes, the same interception point the fault injectors use, so
-    batch sends degrade through the wrapped scalar path only when a fault
-    injector is *also* present) and ``_deliver``. ``uninstall`` restores
-    the original methods.
+    Installs by hooking the cluster's send core ``_post`` — the one place
+    every ``send`` and ``send_batch`` ends, below any fault interceptor on
+    ``send`` — and ``_deliver``, both as instance attributes. Batches stay
+    batched, and a message a fault injector drops never reaches the core,
+    so it is never digested. Digests are keyed by the message object
+    itself (identity-hashed, kept alive until delivery), so a recycled
+    ``id`` can never alias a stale entry. ``uninstall`` restores the
+    original methods.
     """
 
     def __init__(self, cluster: Any, raise_on_violation: bool = True) -> None:
@@ -229,46 +232,21 @@ class MessageSanitizer:
         self.raise_on_violation = raise_on_violation
         self.violations: list[MutationViolation | LatencyViolation] = []
         self.messages_checked = 0
-        self._digests: dict[int, str] = {}  # id(msg) -> digest
-        self._original_send = cluster.send
-        self._original_send_batch = cluster.send_batch
+        self._digests: dict[Any, str] = {}  # in-flight message -> digest
+        self._original_post = cluster._post
         self._original_deliver = cluster._deliver
-        cluster.send = self._send
-        cluster.send_batch = self._send_batch
+        cluster._post = self._post
         cluster._deliver = self._deliver
 
     # -- interception -----------------------------------------------------------
-    def _send(
-        self,
-        src: int,
-        dst: int,
-        tag: str,
-        nbytes: int,
-        payload: Any = None,
-        at_time: float | None = None,
-    ) -> Any:
-        msg = self._original_send(src, dst, tag, nbytes, payload, at_time)
-        self._digests[id(msg)] = payload_digest(msg.payload)
-        return msg
-
-    def _send_batch(
-        self,
-        src: int,
-        dests: Any,
-        tag: str,
-        nbytes: int,
-        payloads: Any = None,
-        at_times: Any = None,
-    ) -> Any:
-        msgs = self._original_send_batch(
-            src, dests, tag, nbytes, payloads, at_times
-        )
+    def _post(self, *args: Any) -> Any:
+        msgs = self._original_post(*args)
         for msg in msgs:
-            self._digests[id(msg)] = payload_digest(msg.payload)
+            self._digests[msg] = payload_digest(msg.payload)
         return msgs
 
     def _deliver(self, msg: Any) -> None:
-        expected = self._digests.pop(id(msg), None)
+        expected = self._digests.pop(msg, None)
         if expected is not None:
             self.messages_checked += 1
             if payload_digest(msg.payload) != expected:
@@ -295,7 +273,7 @@ class MessageSanitizer:
             raise SanitizerViolation(prefix + violation.render())
 
     def uninstall(self) -> None:
-        for name in ("send", "send_batch", "_deliver"):
+        for name in ("_post", "_deliver"):
             self.cluster.__dict__.pop(name, None)
         self._digests.clear()
 

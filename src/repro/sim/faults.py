@@ -298,10 +298,9 @@ class NodeFaultInjector(SendInterceptor):
         else:
             # Crash-only plans leave ``send`` untouched: crashes are engine
             # events, not send-path perturbations. Wrapping ``send`` would
-            # silently degrade ``send_batch`` to the scalar path for the
-            # whole run, so the batched dead-letter handling would never be
-            # exercised under crashes (its scalar parity is pinned by
-            # tests/test_message_path_parity.py).
+            # split every ``send_batch`` into per-message calls through the
+            # wrapper for the whole run, for no fault the wrapper applies;
+            # dead letters are counted in the one send core either way.
             self.cluster = cluster
             self._original_send = None
 

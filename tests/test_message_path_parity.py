@@ -1,13 +1,17 @@
-"""Parity tests pinning the batched message path to the scalar one.
+"""Golden digests of the message path, plus send-vs-send_batch parity.
 
-The vectorized message path (``SimCluster.send_batch`` and everything the
-driver stacks on top of it) promises *bit-identical* behaviour to the
-scalar sends it replaces: same arrival times, same parents, same stats.
-The scalar path stays in the tree as the executable specification; these
-tests hold the two together — on the cluster primitive, on the network
-pricing, on the pipeline servers, on the reliable transport, and on full
-traversals across every configuration axis the driver can take
-(mirroring the style of ``tests/test_validator_parity.py``).
+Every message enters the simulated fabric through one ``SimCluster`` core
+(``send`` is a one-element call into the core behind ``send_batch``). Whole traversals are pinned by
+golden sha256 digests over parents, levels, ``repr(sim_seconds)``, the
+per-run stats and the cluster stats snapshot (plus metrics, busy intervals
+and span rows for the telemetry cases). The digests were recorded from the
+per-message scalar driver that the batched driver replaced, and the
+batched driver reproduced every one of them before the scalar driver was
+deleted: a digest change is a change to simulated behaviour, not noise.
+
+The cluster primitive, the network pricing, the pipeline servers and the
+reliable transport are still checked pairwise — ``N`` single sends against
+one ``N``-message batch — because both entry points stay public.
 
 Float discipline: every comparison of times here is exact equality, not
 approx. The batch path is only allowed vectorization where the IEEE
@@ -15,6 +19,7 @@ operations are order-independent; any reassociation would show up as a
 failed ``==`` long before it showed up as a wrong traversal.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -34,90 +39,129 @@ from repro.resilience.config import ResilienceConfig
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.resources import Server
+from repro.telemetry import Telemetry
 
 
-# --- driver-level parity: whole traversals, batched vs scalar ---------------
+# --- driver-level golden digests: whole traversals ---------------------------
+GOLDEN = {
+    "relay-cpe":
+        "d76e762bfd44e4712f0c9c69f03ce520a91d1d1f733fdf49b804feff3bb17958",
+    "direct-cpe":
+        "d76e762bfd44e4712f0c9c69f03ce520a91d1d1f733fdf49b804feff3bb17958",
+    "relay-mpe":
+        "8e58a161adc2c4e78acbcc07d85a6bf22b85cb2f65d66c9bf63aef037768525a",
+    "direct-mpe":
+        "8e58a161adc2c4e78acbcc07d85a6bf22b85cb2f65d66c9bf63aef037768525a",
+    "relay-multigroup":
+        "34e42ab3cfd8bf24239beaf696a15068feb6a85e4bfe07b132df033d5a823e64",
+    "codec":
+        "2ea4e45ec393d11cffd25ac9aebf5733448a36d1af9210bc9ff7becbb538882d",
+    "single-node":
+        "a37dde2830c003e7b61051bd21405a2a9e7479b371611ff78799f87b03f1dd6c",
+    "reliable":
+        "2229fca85d5d04c0dde25a0d8e76c9bbc7d79caf618513849f34864717314f91",
+    "reliable-checkpoints":
+        "67a50caf188d8c06fc007d4f85723f4aefc750eeb0ff9d1056dbedec536ed9b3",
+    "fault-injector":
+        "fb567efc676c7fd737474f1820daf4fe087870c96bd422ac837e296edabee6dd",
+    "telemetry-relay":
+        "2dd7f7e0860d7f57e9fa3c16dbe85986a37ab6b7b14c561ebe5c5acb26260d85",
+    "telemetry-direct":
+        "7f6bd8a82bb3a6232fa2acb31117f24c51c83158aec28d08324d36babc2b6219",
+}
+
+
 def _edges(scale=9, seed=3):
     return KroneckerGenerator(scale=scale, seed=seed).generate()
 
 
-def _run_both(variant, nodes, overrides=None, resilience=None, roots=(1, 5)):
-    """One traversal set per mode; returns [(results, stats_snapshot), ...]."""
-    edges = _edges()
-    out = []
-    for batch in (False, True):
-        cfg = replace(
-            variant_config(variant), batch_messages=batch, **(overrides or {})
-        )
-        bfs = DistributedBFS(edges, nodes, config=cfg, resilience=resilience)
-        results = [bfs.run(r) for r in roots]
-        out.append((results, bfs.cluster.stats.snapshot()))
-    return out
+def _plain(obj):
+    """Plain-Python view of a value (numpy scalars unwrapped, dicts as
+    sorted item lists), so a digest does not depend on numpy's reprs."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, dict):
+        return sorted((k, _plain(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    return obj
 
 
-def _assert_identical(scalar, batched):
-    (res_s, stats_s), (res_b, stats_b) = scalar, batched
-    for a, b in zip(res_s, res_b):
-        assert np.array_equal(a.parent, b.parent)
-        assert a.levels == b.levels
-        assert a.sim_seconds == b.sim_seconds  # exact, not approx
-        assert a.stats == b.stats
-    assert stats_s == stats_b
+def _digest(results, snapshot, *extra):
+    h = hashlib.sha256()
+    for r in results:
+        h.update(np.ascontiguousarray(r.parent, dtype=np.int64).tobytes())
+        h.update(repr((r.levels, r.sim_seconds, _plain(r.stats))).encode())
+    h.update(repr(_plain(snapshot)).encode())
+    for item in extra:
+        h.update(repr(_plain(item)).encode())
+    return h.hexdigest()
+
+
+def _span_rows(tel):
+    return [
+        (s.name, s.category, s.start, s.finish, s.parent, s.closed,
+         tuple(sorted(s.attrs.items())))
+        for s in tel.spans.spans
+    ]
+
+
+def _traversal_digest(variant="relay-cpe", nodes=8, resilience=None,
+                      telemetry=False, roots=(1, 5), nps=None, **overrides):
+    cfg = replace(variant_config(variant), **overrides)
+    tel = Telemetry() if telemetry else None
+    bfs = DistributedBFS(
+        _edges(), nodes, config=cfg, resilience=resilience, telemetry=tel,
+        nodes_per_super_node=nps,
+    )
+    results = [bfs.run(r) for r in roots]
+    extra = ()
+    if tel is not None:
+        extra = (tel.metrics.snapshot(), tel.intervals(), _span_rows(tel))
+    return _digest(results, bfs.cluster.stats.snapshot(), *extra)
 
 
 @pytest.mark.parametrize(
     "variant", ["relay-cpe", "direct-cpe", "relay-mpe", "direct-mpe"]
 )
 def test_traversal_parity_across_variants(variant):
-    scalar, batched = _run_both(variant, nodes=8)
-    _assert_identical(scalar, batched)
+    assert _traversal_digest(variant) == GOLDEN[variant]
+
+
+def test_traversal_parity_relay_across_groups():
+    """Four groups of four nodes: the only case whose records take the
+    relay hop (``fwd_relay``/``bwd_relay``) and the relay's stage two."""
+    assert _traversal_digest(nodes=16, nps=4) == GOLDEN["relay-multigroup"]
 
 
 def test_traversal_parity_with_codec():
-    scalar, batched = _run_both("relay-cpe", nodes=8, overrides={"use_codec": True})
-    _assert_identical(scalar, batched)
+    assert _traversal_digest(use_codec=True) == GOLDEN["codec"]
 
 
 def test_traversal_parity_single_node():
-    scalar, batched = _run_both("relay-cpe", nodes=1)
-    _assert_identical(scalar, batched)
+    assert _traversal_digest(nodes=1) == GOLDEN["single-node"]
 
 
 def test_traversal_parity_reliable_transport():
     res = ResilienceConfig(reliable_transport=True)
-    scalar, batched = _run_both("relay-cpe", nodes=8, resilience=res)
-    _assert_identical(scalar, batched)
+    assert _traversal_digest(resilience=res) == GOLDEN["reliable"]
 
 
 def test_traversal_parity_reliable_transport_with_checkpoints():
     res = ResilienceConfig(reliable_transport=True, checkpoint_interval=2)
-    scalar, batched = _run_both("relay-cpe", nodes=8, resilience=res)
-    _assert_identical(scalar, batched)
+    assert _traversal_digest(resilience=res) == GOLDEN["reliable-checkpoints"]
 
 
 def test_traversal_parity_under_fault_injector():
     """An installed interceptor owns the send path: the batch API must
     degrade to per-message sends through it, so fault ordinals line up."""
-    edges = _edges()
-    outcomes = []
-    for batch in (False, True):
-        cfg = replace(variant_config("relay-cpe"), batch_messages=batch)
-        bfs = DistributedBFS(edges, 8, config=cfg)
-        plan = FaultPlan(drop={5, 17}, duplicate={9}, tag_prefix="fwd")
-        with FaultInjector(bfs.cluster, plan) as injector:
-            result = bfs.run(1)
-            outcomes.append(
-                (
-                    result.parent.copy(),
-                    result.sim_seconds,
-                    injector.matched,
-                    injector.dropped,
-                    injector.duplicated,
-                )
-            )
-    a, b = outcomes
-    assert np.array_equal(a[0], b[0])
-    assert a[1:] == b[1:]
+    bfs = DistributedBFS(_edges(), 8, config=variant_config("relay-cpe"))
+    plan = FaultPlan(drop={5, 17}, duplicate={9}, tag_prefix="fwd")
+    with FaultInjector(bfs.cluster, plan) as injector:
+        result = bfs.run(1)
+    counts = (injector.matched, injector.dropped, injector.duplicated)
+    digest = _digest([result], bfs.cluster.stats.snapshot(), counts)
+    assert digest == GOLDEN["fault-injector"]
 
 
 # --- cluster-level parity: send_batch vs N sends -----------------------------
@@ -379,59 +423,24 @@ def test_channel_send_batch_rejects_reserved_tag():
         channel.send_batch(0, [1], "ack", [8])
 
 
-# --- telemetry parity: spans/intervals/metrics, batched vs scalar ------------
-def _run_both_profiled(variant, nodes, roots=(1, 5)):
-    """Like ``_run_both`` with full telemetry attached in both modes."""
-    from repro.telemetry import Telemetry
-
-    edges = _edges()
-    out = []
-    for batch in (False, True):
-        cfg = replace(variant_config(variant), batch_messages=batch)
-        tel = Telemetry()
-        bfs = DistributedBFS(edges, nodes, config=cfg, telemetry=tel)
-        results = [bfs.run(r) for r in roots]
-        out.append((results, tel))
-    return out
-
-
-def _span_rows(tel):
-    return [
-        (s.name, s.category, s.start, s.finish, s.parent, s.closed,
-         tuple(sorted(s.attrs.items())))
-        for s in tel.spans.spans
-    ]
-
-
-def test_telemetry_parity_batched_vs_scalar():
-    """With tracing on, the batched path must pin the scalar one exactly:
-    same labeled-metric snapshot, same busy intervals on every server and
-    link, and the same span list (ids, parents, windows, attrs)."""
-    (res_s, tel_s), (res_b, tel_b) = _run_both_profiled("relay-cpe", nodes=8)
-    for a, b in zip(res_s, res_b):
-        assert np.array_equal(a.parent, b.parent)
-        assert a.sim_seconds == b.sim_seconds
-        assert a.stats == b.stats
-    assert tel_s.metrics.snapshot() == tel_b.metrics.snapshot()
-    assert tel_s.intervals() == tel_b.intervals()
-    assert _span_rows(tel_s) == _span_rows(tel_b)
+# --- telemetry golden digests: spans/intervals/metrics ----------------------
+def test_telemetry_parity_relay_variant():
+    """With tracing on, the same labeled-metric snapshot, busy intervals
+    on every server and link, and span list (ids, parents, windows,
+    attrs) as the recorded run."""
+    assert _traversal_digest(telemetry=True) == GOLDEN["telemetry-relay"]
 
 
 def test_telemetry_parity_direct_variant():
-    (_, tel_s), (_, tel_b) = _run_both_profiled("direct-cpe", nodes=8,
-                                                roots=(1,))
-    assert tel_s.metrics.snapshot() == tel_b.metrics.snapshot()
-    assert tel_s.intervals() == tel_b.intervals()
-    assert _span_rows(tel_s) == _span_rows(tel_b)
+    digest = _traversal_digest("direct-cpe", telemetry=True, roots=(1,))
+    assert digest == GOLDEN["telemetry-direct"]
 
 
 def test_telemetry_off_leaves_stats_identical_to_untraced_run():
     """A disabled Telemetry must be a true no-op: exactly the snapshot a
     plain run produces (no extra families, no interval recording)."""
-    from repro.telemetry import Telemetry
-
     edges = _edges()
-    cfg = replace(variant_config("relay-cpe"), batch_messages=True)
+    cfg = variant_config("relay-cpe")
     plain = DistributedBFS(edges, 8, config=cfg)
     plain_result = plain.run(1)
     tel = Telemetry(enabled=False)
@@ -444,17 +453,22 @@ def test_telemetry_off_leaves_stats_identical_to_untraced_run():
 
 
 # --- reliable transport leaves the engine empty -------------------------------
-@pytest.mark.parametrize("batch", [False, True])
-def test_reliable_transport_leaves_engine_empty(batch):
+@pytest.mark.parametrize("intercepted", [False, True])
+def test_reliable_transport_leaves_engine_empty(intercepted):
     """Acks cancel their retry timers; after the run neither a live event
-    nor a stale cancel mark may remain."""
-    cfg = replace(variant_config("relay-cpe"), batch_messages=batch)
+    nor a stale cancel mark may remain. ``intercepted`` installs a
+    fault-free injector, which makes every batch degrade to per-message
+    sends, so both routes into the fabric are covered."""
     bfs = DistributedBFS(
-        _edges(), 16, config=cfg,
+        _edges(), 16, config=variant_config("relay-cpe"),
         resilience=ResilienceConfig(reliable_transport=True),
     )
+    injector = FaultInjector(bfs.cluster, FaultPlan()) if intercepted else None
     for root in (1, 5):
         bfs.run(root)
+    if injector is not None:
+        assert injector.matched > 0 and injector.dropped == 0
+        injector.uninstall()
     assert len(bfs.engine._cancelled) == 0
     assert len(bfs.engine) == 0
 

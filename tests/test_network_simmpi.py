@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConnectionMemoryExhausted, SimulationError
+from repro.errors import ConfigError, ConnectionMemoryExhausted, SimulationError
 from repro.machine import TAIHULIGHT
 from repro.network import ConnectionTable, SimCluster
 from repro.sim import Engine
@@ -68,6 +68,28 @@ def test_stats_track_messages_and_central_traffic():
     assert cluster.stats.value("bytes") == 300
     assert cluster.stats.value("central_messages") == 1
     assert cluster.stats.value("central_bytes") == 200
+
+
+@pytest.mark.parametrize(
+    "bad_send",
+    [
+        lambda c: c.send(0, -1, "x", 10),
+        lambda c: c.send(0, 99, "x", 10),
+        lambda c: c.send_batch(-1, [1], "x", [10]),
+    ],
+    ids=["negative-dst", "dst-out-of-range", "negative-src"],
+)
+def test_bad_ranks_rejected_at_call_time(bad_send):
+    """A bad source or destination raises ConfigError inside the call,
+    before any connection, stat, link or engine state is touched."""
+    eng, cluster = make_cluster(16)
+    with pytest.raises(ConfigError, match="out of range"):
+        bad_send(cluster)
+    assert all(not table.peers for table in cluster.connections)
+    assert cluster.stats.value("messages") == 0
+    assert cluster.stats.value("bytes") == 0
+    assert all(link.jobs == 0 for link in cluster.network.all_links())
+    assert len(eng) == 0
 
 
 def test_double_register_rejected():

@@ -20,6 +20,7 @@ from repro.sanitizers import (
     payload_digest,
 )
 from repro.sim.engine import Engine
+from repro.sim.faults import FaultInjector, FaultPlan
 
 
 # --- SPM write-conflict detector ----------------------------------------------
@@ -163,7 +164,7 @@ def test_message_sanitizer_uninstall_restores_cluster():
     engine, cluster, delivered = _cluster_pair()
     san = MessageSanitizer(cluster)
     san.uninstall()
-    assert "send" not in cluster.__dict__
+    assert "_post" not in cluster.__dict__
     assert "_deliver" not in cluster.__dict__
     payload = np.arange(4)
     cluster.send(0, 1, "data", 32, payload)
@@ -171,6 +172,42 @@ def test_message_sanitizer_uninstall_restores_cluster():
     engine.run()
     assert len(delivered) == 1
     assert san.messages_checked == 0
+
+
+def test_message_sanitizer_keeps_batches_on_the_batch_path(monkeypatch):
+    """The sanitizer hooks the send core, not ``send``: a sanitized batch
+    is checked without a single per-message ``SimCluster.send`` call."""
+    calls = []
+    original_send = SimCluster.send
+
+    def counting_send(self, *args, **kwargs):
+        calls.append(args)
+        return original_send(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimCluster, "send", counting_send)
+    engine, cluster, delivered = _cluster_pair()
+    san = MessageSanitizer(cluster)
+    cluster.send_batch(0, [1, 1, 0, 1], "batch", [8, 8, 8, 8],
+                       [np.arange(2) for _ in range(4)])
+    engine.run()
+    assert calls == []
+    assert len(delivered) == 4
+    assert san.messages_checked == 4
+
+
+def test_message_sanitizer_never_digests_dropped_messages():
+    """A dropped message never reaches the send core, so no digest of it
+    is left behind for a later message to trip over."""
+    engine, cluster, delivered = _cluster_pair()
+    injector = FaultInjector(cluster, FaultPlan(drop={0, 2}))
+    san = MessageSanitizer(cluster)
+    cluster.send_batch(0, [1, 1, 1], "data", [8, 8, 8],
+                       [np.arange(i + 1) for i in range(3)])
+    engine.run()
+    assert injector.dropped == 2
+    assert len(delivered) == 1
+    assert san.messages_checked == 1
+    assert san._digests == {}
 
 
 # --- link-latency check ------------------------------------------------------
