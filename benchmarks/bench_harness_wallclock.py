@@ -38,8 +38,6 @@ def time_phases(
     seed: int = 1,
 ) -> dict:
     """One benchmark run, phase by phase; wall-clock seconds per phase."""
-    import numpy as np
-
     from repro.baselines import make_variant
     from repro.graph.csr import CSRGraph
     from repro.graph.kronecker import KroneckerGenerator
@@ -65,17 +63,19 @@ def time_phases(
     events_executed = None
     messages_per_sec = None
     if workers > 1:
-        from repro.graph500.parallel import run_roots_parallel
+        from repro.graph500.runner import Graph500Runner
 
+        runner = Graph500Runner(scale, nodes, seed=seed)
         t0 = time.perf_counter()
-        outcomes = run_roots_parallel(
-            bfs, graph, edges, np.asarray(root_list), "sequential", None, workers
+        outcomes = list(
+            runner.root_outcomes(bfs, graph, edges, root_list, workers=workers)
         )
         kernel = time.perf_counter() - t0  # kernel+validate fused in workers
         for o in outcomes:
-            assert o.validated, f"root {o.root} failed validation: {o.failure}"
-            total_edges += o.traversed_edges
-            total_sim_seconds += o.seconds
+            run = o.run
+            assert run.validated, f"root {run.root} failed validation: {run.failure}"
+            total_edges += run.traversed_edges
+            total_sim_seconds += run.seconds
     else:
         # In-process runs expose the engine and stats: record how many
         # simulator events and messages the kernel phase chewed through

@@ -31,6 +31,12 @@ class SimulatedCrash(ReproError, RuntimeError):
         where = f" on node {node}" if node is not None else ""
         super().__init__(f"simulated crash{where}: {reason}")
 
+    def __reduce__(self):
+        # Rebuild from (reason, node), not from the formatted message: a
+        # crash shipped back from a forked root worker keeps its subclass,
+        # reason, node and text.
+        return type(self), (self.reason, self.node)
+
 
 class SpmOverflow(SimulatedCrash):
     """A CPE scratch-pad memory allocation exceeded the 64 KB SPM.

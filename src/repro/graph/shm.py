@@ -1,7 +1,8 @@
 """Zero-copy shared-memory hosting for read-only CSR graphs.
 
-During the kernel the graph is read-only, so multi-process harness workers
-never need private copies of the edge arrays. :class:`SharedCSR` rehosts a
+During the kernel the graph is read-only, so multi-process workers (the
+query service's catalog hosts its graphs this way) never need private
+copies of the edge arrays. :class:`SharedCSR` rehosts a
 :class:`~repro.graph.csr.CSRGraph` into one POSIX shared-memory segment:
 the wrapper's ``graph`` attribute is a regular ``CSRGraph`` whose
 ``row_ptr`` / ``col_idx`` are views straight into the mapping

@@ -8,12 +8,21 @@ Construction is shared: the symmetrised deduplicated CSR is built once and
 threaded through both the kernel (``make_variant``) and the validator, so
 benchmark step (3) is paid a single time per run.
 
-Multi-root execution: the spec's 64 roots are independent, so
-``workers=N`` fans them across a fork-based process pool (see
-:mod:`repro.graph500.parallel`); ``workers=1`` keeps the exact sequential
-path. Configurations with fault injection or resilience transports always
-run sequentially — their seeded RNG streams advance across roots, and only
-the sequential order replays them.
+One root path: steps 4-5 for a root (kernel, validation, TEPS accounting,
+counter deltas) happen in :meth:`Graph500Runner.run_root` and nowhere else,
+and :meth:`Graph500Runner.run` records every outcome the same way. The
+spec's 64 roots are independent, so ``workers=N`` runs that function in N
+forked children — the edge list, CSR and constructed kernel reach them
+through copy-on-write fork memory, never through pickling — and only the
+picklable :class:`RootOutcome` travels back. Roots are assigned statically
+(round-robin by index) and merged in root order, so the report is a pure
+function of (graph, roots, workers); parent maps, traversed-edge counts and
+level counts equal the ``workers=1`` run's, and per-root simulated seconds
+agree to float round-off (each span is measured against a clock advanced by
+whichever roots ran earlier on the same kernel instance). Configurations
+with fault injection, resilience transports or sanitizers always run
+in-process: their seeded RNG streams and detector state advance across
+roots, and only the sequential order replays them.
 
 Resilience hooks: a :class:`~repro.resilience.config.ResilienceConfig`
 turns on the reliable transport and/or checkpointed recovery inside the
@@ -25,6 +34,9 @@ instead of aborting the whole benchmark.
 """
 
 from __future__ import annotations
+
+import multiprocessing as mp
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +58,27 @@ _RESILIENCE_COUNTERS = (
     "disk_losses", "disk_corruptions", "shards_rebuilt", "scrub_passes",
     "scrub_repairs",
 )
+
+
+def fork_available() -> bool:
+    """Whether fork-based worker processes exist on this platform."""
+    return "fork" in mp.get_all_start_methods()
+
+
+@dataclass
+class RootOutcome:
+    """Steps 4-5 for one root; picklable so a forked worker can ship it."""
+
+    run: RootRun
+    #: The crash or validation error behind ``run.failure``; the runner
+    #: re-raises it under ``on_root_failure="abort"``.
+    error: Exception | None = None
+    validation_seconds: float = 0.0
+    #: Resilience counters this root moved, as deltas.
+    counters: dict[str, float] = field(default_factory=dict)
+    #: ``(level, direction, start, finish)`` per level, kept when a forked
+    #: worker's telemetry skeleton is rebuilt in the parent.
+    traces: list[tuple[int, str, float, float]] | None = None
 
 
 class Graph500Runner:
@@ -99,11 +132,10 @@ class Graph500Runner:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        #: Optional :class:`repro.telemetry.Telemetry`. Sequential runs get
+        #: Optional :class:`repro.telemetry.Telemetry`. In-process runs get
         #: full kernel instrumentation (spans, labeled metrics, busy
-        #: intervals); ``workers>1`` runs derive the run/root/level span
-        #: skeleton from the merged outcomes (a forked child's in-process
-        #: telemetry dies with the child).
+        #: intervals); forked runs derive the run/root/level span skeleton
+        #: from the outcomes (a child's in-process telemetry dies with it).
         self.telemetry = telemetry
         #: Install the runtime sanitizers (:mod:`repro.sanitizers.runtime`)
         #: on the constructed kernel: SPM write-conflict and message-
@@ -128,8 +160,6 @@ class Graph500Runner:
         if self.sanitize:
             # Sanitizer digests/claims accumulate in-process.
             return 1
-        from repro.graph500.parallel import fork_available
-
         if not fork_available():  # pragma: no cover - platform dependent
             return 1
         return min(self.workers, num_roots)
@@ -152,6 +182,8 @@ class Graph500Runner:
         kernel already does. A ``graph`` without its ``edges`` is refused:
         TEPS accounting and validation need the raw tuples.
         """
+        from repro.baselines import make_variant  # late: heavy import chain
+
         if graph is not None and edges is None:
             raise ConfigError("a prebuilt graph needs its edge list too")
         # Step 1: generate the raw edge list.
@@ -173,29 +205,6 @@ class Graph500Runner:
         if graph is None:
             graph = CSRGraph.from_edges(edges)
         workers = self._effective_workers(num_roots)
-        shared = None
-        if workers > 1:
-            # Rehost the read-only CSR into one shared-memory segment so
-            # worker processes map the edge arrays zero-copy instead of
-            # duplicating them (and so sharing survives non-fork start
-            # methods, unlike copy-on-write inheritance).
-            from repro.graph.shm import SharedCSR, shared_memory_available
-
-            if shared_memory_available():
-                shared = SharedCSR.host(graph)
-                graph = shared.graph
-        # The finally (plus SharedCSR's own atexit unlink guard) covers
-        # every exit path, including a worker crash propagating out of
-        # the pool mid-root: the segment never outlives the run.
-        try:
-            return self._run_steps(edges, roots, graph, workers)
-        finally:
-            if shared is not None:
-                shared.destroy()
-
-    def _run_steps(self, edges, roots, graph, workers) -> BenchmarkReport:
-        from repro.baselines import make_variant  # late: heavy import chain
-
         bfs = make_variant(
             self.variant,
             edges,
@@ -266,70 +275,28 @@ class Graph500Runner:
             tel.push(run_span)
             if workers == 1:
                 tel.attach_kernel(bfs)
-        if workers > 1:
-            self._run_parallel(report, bfs, graph, edges, roots, validator, workers)
-        else:
-            self._run_sequential(report, bfs, graph, edges, roots, validator)
-        if tel is not None:
-            closed_roots = [s for s in tel.spans.by_category("root") if s.closed]
-            start = min((s.start for s in closed_roots), default=0.0)
-            finish = max((s.finish for s in closed_roots), default=start)
-            tel.spans.close(run_span, start, finish)
-            tel.pop()
-        return report
 
-    # ----------------------------------------------------------- sequential --
-    def _run_sequential(
-        self, report, bfs, graph, edges, roots, validator
-    ) -> None:
-        """Steps 4-5, one root after another on the shared kernel."""
-        for root in np.asarray(roots):
-            try:
-                result = bfs.run(int(root))
-            except SimulatedCrash as crash:
-                if self.on_root_failure == "abort":
-                    raise
-                report.runs.append(
-                    RootRun(
-                        root=int(root),
-                        traversed_edges=0,
-                        seconds=0.0,
-                        levels=0,
-                        validated=False,
-                        failure=f"crash: {crash.reason}",
-                    )
-                )
-                continue
-            validated = True
-            failure = None
-            if self.validate == "sequential":
-                try:
-                    validate_bfs_result(graph, edges, int(root), result.parent)
-                except ValidationError as exc:
-                    validated = False
-                    if self.on_root_failure == "abort":
-                        raise
-                    failure = f"validation: {exc}"
-            elif validator is not None:
-                vres = validator.validate(int(root), result.parent)
-                report.extra["validation_seconds"] = (
-                    report.extra.get("validation_seconds", 0.0) + vres.sim_seconds
-                )
-            edges_traversed = traversed_edges(edges, result.depths())
-            report.runs.append(
-                RootRun(
-                    root=int(root),
-                    traversed_edges=edges_traversed,
-                    seconds=result.sim_seconds,
-                    levels=result.levels,
-                    validated=validated,
-                    failure=failure,
-                )
-            )
+        # Steps 4-5: every root through run_root, recorded in root order.
+        totals = {key: bfs.cluster.stats.value(key) for key in _RESILIENCE_COUNTERS}
+        validation_seconds = 0.0
+        # A forked root's spans are rebuilt here from its level traces.
+        traces = tel is not None and workers > 1
+        for outcome in self.root_outcomes(
+            bfs, graph, edges, roots, validator, workers, traces
+        ):
+            if outcome.error is not None and self.on_root_failure == "abort":
+                raise outcome.error
+            report.runs.append(outcome.run)
+            validation_seconds += outcome.validation_seconds
+            for key, delta in outcome.counters.items():
+                totals[key] += delta
+            if traces and outcome.traces:
+                _replay_root_spans(tel, outcome.run, outcome.traces)
+        if validator is not None:
+            report.extra["validation_seconds"] = validation_seconds
         for key in _RESILIENCE_COUNTERS:
-            value = bfs.cluster.stats.value(key)
-            if value:
-                report.extra[key] = value
+            if totals[key]:
+                report.extra[key] = totals[key]
         msg_san = getattr(bfs, "message_sanitizer", None)
         if msg_san is not None:
             report.extra["sanitizer_messages_checked"] = (
@@ -341,73 +308,164 @@ class Graph500Runner:
             report.extra["sanitizer_spm_phases"] = spm_san.phases_checked
             report.extra["sanitizer_spm_conflicts"] = len(spm_san.conflicts)
 
-    # ------------------------------------------------------------- parallel --
-    def _run_parallel(
-        self, report, bfs, graph, edges, roots, validator, workers
-    ) -> None:
-        """Steps 4-5 fanned across forked workers, merged in root order."""
-        from repro.graph500.parallel import run_roots_parallel
+        if tel is not None:
+            closed_roots = [s for s in tel.spans.by_category("root") if s.closed]
+            start = min((s.start for s in closed_roots), default=0.0)
+            finish = max((s.finish for s in closed_roots), default=start)
+            tel.spans.close(run_span, start, finish)
+            tel.pop()
+        return report
 
-        construction_counters = {
-            key: bfs.cluster.stats.value(key) for key in _RESILIENCE_COUNTERS
-        }
-        tel = self.telemetry
-        if tel is not None and not tel.enabled:
-            tel = None
-        outcomes = run_roots_parallel(
-            bfs,
-            graph,
-            edges,
-            np.asarray(roots),
-            self.validate,
-            validator,
-            workers,
-            counter_keys=_RESILIENCE_COUNTERS,
-            collect_traces=tel is not None,
-        )
-        if self.on_root_failure == "abort":
-            for outcome in outcomes:
-                if outcome.crash_reason is not None:
-                    raise SimulatedCrash(
-                        outcome.crash_reason, node=outcome.crash_node
-                    )
-                if outcome.validation_error is not None:
-                    raise ValidationError(outcome.validation_error)
-        totals = dict(construction_counters)
-        validation_seconds = 0.0
-        for outcome in outcomes:
-            report.runs.append(
+    # ----------------------------------------------------------- one root --
+    def run_root(
+        self, bfs, graph, edges, root: int, validator=None, traces: bool = False
+    ) -> RootOutcome:
+        """Steps 4-5 for one root: kernel, validation, TEPS accounting.
+
+        The only place a root runs, in-process or in a forked worker. A
+        simulated crash or a validation error is returned in the outcome,
+        never raised: :meth:`run` decides between abort and skip.
+        """
+        stats = bfs.cluster.stats
+        before = [stats.value(key) for key in _RESILIENCE_COUNTERS]
+        try:
+            result = bfs.run(root)
+        except SimulatedCrash as crash:
+            outcome = RootOutcome(
                 RootRun(
-                    root=outcome.root,
-                    traversed_edges=outcome.traversed_edges,
-                    seconds=outcome.seconds,
-                    levels=outcome.levels,
-                    validated=outcome.validated,
-                    failure=outcome.failure,
-                )
+                    root=root,
+                    traversed_edges=0,
+                    seconds=0.0,
+                    levels=0,
+                    validated=False,
+                    failure=f"crash: {crash.reason}",
+                ),
+                error=crash,
             )
-            validation_seconds += outcome.validation_seconds
-            for key, delta in outcome.counters.items():
-                totals[key] = totals.get(key, 0) + delta
-            if tel is not None and outcome.traces:
-                # Rebuild the root/level span skeleton the kernel would have
-                # recorded live (times are the child's simulated clock).
-                t0 = outcome.traces[0][2]
-                root_span = tel.spans.open(
-                    f"root {outcome.root}", "root",
-                    parent=tel.current, root=outcome.root,
+        else:
+            error: ValidationError | None = None
+            validation_seconds = 0.0
+            if self.validate == "sequential":
+                try:
+                    validate_bfs_result(graph, edges, root, result.parent)
+                except ValidationError as exc:
+                    error = exc
+            elif validator is not None:
+                validation_seconds = validator.validate(
+                    root, result.parent
+                ).sim_seconds
+            run = RootRun(
+                root=root,
+                traversed_edges=traversed_edges(edges, result.depths()),
+                seconds=result.sim_seconds,
+                levels=result.levels,
+                validated=error is None,
+                failure=None if error is None else f"validation: {error}",
+            )
+            outcome = RootOutcome(
+                run, error=error, validation_seconds=validation_seconds
+            )
+            if traces:
+                outcome.traces = [
+                    (t.level, t.direction, t.start, t.finish)
+                    for t in result.traces
+                ]
+        after = [stats.value(key) for key in _RESILIENCE_COUNTERS]
+        outcome.counters = {
+            key: a - b
+            for key, a, b in zip(_RESILIENCE_COUNTERS, after, before)
+            if a != b
+        }
+        return outcome
+
+    def root_outcomes(
+        self, bfs, graph, edges, roots, validator=None, workers: int = 1,
+        traces: bool = False,
+    ):
+        """:meth:`run_root` over ``roots``, in root order.
+
+        ``workers=1`` yields lazily in-process, so an abort stops at the
+        failing root. ``workers=N`` forks N children after construction;
+        worker ``w`` statically owns roots ``w, w+N, w+2N, ...`` and ships
+        its outcomes back over a pipe. A child that dies without reporting
+        raises :class:`RuntimeError` instead of hanging the parent.
+        """
+        roots = [int(r) for r in np.asarray(roots)]
+        workers = min(workers, len(roots))
+        if workers <= 1:
+            for root in roots:
+                yield self.run_root(bfs, graph, edges, root, validator, traces)
+            return
+        ctx = mp.get_context("fork")
+        procs = []
+        conns = []
+        try:
+            for w in range(workers):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=self._worker,
+                    args=(send, bfs, graph, edges, roots[w::workers],
+                          validator, traces),
+                    daemon=True,
                 )
-                for lvl, direction, start, finish in outcome.traces:
-                    tel.spans.record(
-                        f"level {lvl}", "level", start, finish,
-                        parent=root_span, level=lvl, direction=direction,
-                    )
-                tel.spans.close(
-                    root_span, t0, t0 + outcome.seconds,
-                    sim_seconds=outcome.seconds, levels=outcome.levels,
-                )
-        if validator is not None:
-            report.extra["validation_seconds"] = validation_seconds
-        for key in _RESILIENCE_COUNTERS:
-            if totals.get(key):
-                report.extra[key] = totals[key]
+                proc.start()
+                # Only the child holds the write end now: its exit is EOF.
+                send.close()
+                procs.append(proc)
+                conns.append(recv)
+            chunks = []
+            for proc, conn in zip(procs, conns):
+                try:
+                    status, payload = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"root worker exited with code {proc.exitcode} "
+                        "before reporting its outcomes"
+                    ) from None
+                if status == "error":
+                    raise RuntimeError(f"root worker failed: {payload}")
+                chunks.append(payload)
+                proc.join()
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+            for conn in conns:
+                conn.close()
+        for i in range(len(roots)):
+            yield chunks[i % workers][i // workers]
+
+    def _worker(self, conn, bfs, graph, edges, chunk, validator, traces) -> None:
+        """Forked child body: run an assigned chunk of roots, ship outcomes."""
+        try:
+            outcomes = [
+                self.run_root(bfs, graph, edges, root, validator, traces)
+                for root in chunk
+            ]
+            conn.send(("ok", outcomes))
+        except Exception as exc:
+            import traceback
+
+            conn.send(("error", f"{exc!r}\n{traceback.format_exc()}"))
+        finally:
+            conn.close()
+
+
+def _replay_root_spans(tel, run: RootRun, traces) -> None:
+    """Rebuild the root/level span skeleton a forked root would have
+    recorded live from its ``(level, direction, start, finish)`` traces
+    (times are the child's simulated clock)."""
+    t0 = traces[0][2]
+    root_span = tel.spans.open(
+        f"root {run.root}", "root", parent=tel.current, root=run.root,
+    )
+    for lvl, direction, start, finish in traces:
+        tel.spans.record(
+            f"level {lvl}", "level", start, finish,
+            parent=root_span, level=lvl, direction=direction,
+        )
+    tel.spans.close(
+        root_span, t0, t0 + run.seconds,
+        sim_seconds=run.seconds, levels=run.levels,
+    )

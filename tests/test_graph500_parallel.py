@@ -5,7 +5,7 @@ import pytest
 from repro import Graph500Runner
 from repro.core import BFSConfig
 from repro.errors import ConfigError
-from repro.graph500.parallel import fork_available
+from repro.graph500.runner import fork_available
 
 CFG = BFSConfig(hub_count_topdown=8, hub_count_bottomup=8)
 
@@ -89,6 +89,87 @@ def test_parallel_distributed_validation():
     assert par.extra["validation_seconds"] == pytest.approx(
         seq.extra["validation_seconds"], rel=1e-9
     )
+
+
+def _crash_on(monkeypatch, bad_root):
+    """Make the kernel hit an SPM overflow on ``bad_root`` (fork inherits
+    the patch, so forked workers crash the same way)."""
+    from repro.core.bfs import DistributedBFS
+    from repro.errors import SpmOverflow
+
+    real_run = DistributedBFS.run
+
+    def run(self, root):
+        if root == bad_root:
+            raise SpmOverflow("staging buffers exceed 64 KB", node=1)
+        return real_run(self, root)
+
+    monkeypatch.setattr(DistributedBFS, "run", run)
+
+
+def test_crashed_root_is_recorded_alike_in_process_and_forked(monkeypatch):
+    kw = dict(scale=9, nodes=4, seed=3, config=CFG, on_root_failure="skip")
+    roots = Graph500Runner(**kw).run(num_roots=4).runs
+    _crash_on(monkeypatch, roots[1].root)
+    seq = Graph500Runner(**kw).run(num_roots=4)
+    par = Graph500Runner(workers=2, **kw).run(num_roots=4)
+    _assert_rows_match(seq, par)
+    assert [r.failure for r in par.runs] == [
+        None, "crash: staging buffers exceed 64 KB", None, None
+    ]
+
+
+def test_forked_abort_raises_the_roots_own_crash(monkeypatch):
+    from repro.errors import SpmOverflow
+
+    kw = dict(scale=9, nodes=4, seed=3, config=CFG)
+    roots = Graph500Runner(**kw).run(num_roots=4).runs
+    _crash_on(monkeypatch, roots[2].root)
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(SpmOverflow) as info:
+            Graph500Runner(workers=workers, **kw).run(num_roots=4)
+        raised.append((info.value.reason, info.value.node, str(info.value)))
+    assert raised[0] == raised[1] == (
+        "staging buffers exceed 64 KB", 1,
+        "simulated crash on node 1: staging buffers exceed 64 KB",
+    )
+
+
+def _exit_child(*args, **kwargs):
+    import os
+
+    os._exit(3)
+
+
+def _raise_in_child(*args, **kwargs):
+    raise ValueError("boom in root worker")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [(_exit_child, "exited with code 3"), (_raise_in_child, "boom in root worker")],
+    ids=["dies", "raises"],
+)
+def test_failed_worker_raises_instead_of_hanging(monkeypatch, body, message):
+    monkeypatch.setattr(Graph500Runner, "run_root", body)
+    runner = Graph500Runner(scale=8, nodes=2, config=CFG, workers=2)
+    with pytest.raises(RuntimeError, match=message):
+        runner.run(num_roots=2)
+
+
+def test_forked_run_shares_the_graph_without_shared_memory(monkeypatch):
+    """Fork workers read the parent's CSR copy-on-write: no shm segment."""
+    from repro.graph import shm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the runner must not rehost the CSR")
+
+    monkeypatch.setattr(shm.SharedCSR, "host", classmethod(refuse))
+    report = Graph500Runner(scale=8, nodes=2, config=CFG, workers=2).run(
+        num_roots=2
+    )
+    assert report.all_validated and len(report.runs) == 2
 
 
 def test_workers_validation():

@@ -56,34 +56,3 @@ def test_runner_validation():
     with pytest.raises(ConfigError):
         Graph500Runner(scale=10, nodes=0)
 
-
-def test_run_destroys_shared_segment_on_failure(monkeypatch):
-    """Regression: a crash propagating out of the run (e.g. a worker
-    dying mid-root) must not strand the hosted CSR segment."""
-    from multiprocessing import shared_memory
-
-    from repro.graph import shm
-
-    if not shm.shared_memory_available():
-        pytest.skip("no usable shared-memory mount")
-    names = []
-    real_host = shm.SharedCSR.host.__func__
-
-    def capturing_host(cls, graph):
-        shared = real_host(cls, graph)
-        names.append(shared.name)
-        return shared
-
-    monkeypatch.setattr(shm.SharedCSR, "host", classmethod(capturing_host))
-    runner = Graph500Runner(scale=8, nodes=4, seed=3, config=CFG,
-                            nodes_per_super_node=2, workers=2)
-
-    def boom(*args, **kwargs):
-        raise RuntimeError("worker died mid-root")
-
-    monkeypatch.setattr(runner, "_run_steps", boom)
-    with pytest.raises(RuntimeError, match="worker died"):
-        runner.run(num_roots=2)
-    assert names, "workers>1 run must host the CSR in shared memory"
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=names[0])

@@ -436,7 +436,7 @@ def test_build_run_report_attribution_within_one_percent():
 
 
 def test_span_skeleton_deterministic_across_worker_counts():
-    from repro.graph500.parallel import fork_available
+    from repro.graph500.runner import fork_available
 
     if not fork_available():  # pragma: no cover - platform dependent
         pytest.skip("needs fork")
