@@ -24,6 +24,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import Partition1D
 from repro.machine.node import SunwayNode
 from repro.machine.specs import MachineSpec, TAIHULIGHT
+from repro.network.collectives import allreduce_seconds
 from repro.network.simmpi import Message, SimCluster
 from repro.sim.engine import Engine
 
@@ -230,13 +231,6 @@ class SuperstepEngine:
             )
 
     # ------------------------------------------------------------ superstep --
-    def _allreduce_time(self) -> float:
-        if self.num_nodes == 1:
-            return 0.0
-        t = self.spec.taihulight
-        rounds = int(np.ceil(np.log2(self.num_nodes)))
-        return rounds * (t.inter_super_node_latency + t.message_overhead)
-
     def superstep(
         self, outgoing: list[tuple[np.ndarray, np.ndarray]]
     ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -247,7 +241,7 @@ class SuperstepEngine:
         """
         if len(outgoing) != self.num_nodes:
             raise ConfigError("need one outgoing batch per node")
-        t0 = self._t_max + self._allreduce_time()
+        t0 = self._t_max + allreduce_seconds(self.num_nodes, self.spec.taihulight)
         self._mark(t0)
         for part, (v, x) in zip(self.parts, outgoing):
             v = np.asarray(v, dtype=np.int64)

@@ -34,6 +34,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.machine.node import SunwayNode
 from repro.machine.specs import MachineSpec, TAIHULIGHT
+from repro.network.collectives import allreduce_seconds
 from repro.network.simmpi import Message, SimCluster
 from repro.sim.engine import Engine
 
@@ -148,13 +149,6 @@ class TwoDBFS:
         if t > self._t_max:
             self._t_max = t
 
-    def _allreduce_time(self) -> float:
-        if self.P == 1:
-            return 0.0
-        t = self.spec.taihulight
-        rounds = int(np.ceil(np.log2(self.P)))
-        return rounds * (t.inter_super_node_latency + t.message_overhead)
-
     def _make_handler(self, p: int):
         def handler(msg: Message) -> None:
             self._on_message(p, msg)
@@ -212,7 +206,7 @@ class TwoDBFS:
         traces: list[LevelTrace] = []
         bitmap_bytes = -(-self.seg // 8)
 
-        control = self._allreduce_time()
+        control = allreduce_seconds(self.P, self.spec.taihulight)
         level = 0
         while level < self.config.max_levels:
             level += 1

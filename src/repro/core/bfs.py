@@ -37,11 +37,11 @@ from repro.graph500.reference import depths_from_parents
 from repro.machine.node import SunwayNode
 from repro.machine.specs import MachineSpec, TAIHULIGHT
 from repro.network.codec import encoded_size
+from repro.network.collectives import allgather_seconds, allreduce_seconds
 from repro.network.simmpi import Message, SimCluster
-from repro.durability.rs import RSCode
-from repro.durability.shards import ShardedCheckpointStore, ShardPlacement
+from repro.durability.shards import make_checkpoint_store
 from repro.resilience.channel import ReliableChannel
-from repro.resilience.checkpoint import Checkpoint, CheckpointStore
+from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.config import ResilienceConfig
 from repro.sim.engine import Engine
 
@@ -249,8 +249,8 @@ class DistributedBFS:
             self.message_sanitizer = MessageSanitizer(self.cluster)
         #: Buddy or erasure-coded store per ``resilience.checkpoint_mode``
         #: (built eagerly so an infeasible RS placement fails construction).
-        self.checkpoints: CheckpointStore | ShardedCheckpointStore | None = (
-            self._make_checkpoint_store()
+        self.checkpoints = make_checkpoint_store(
+            self.resilience, self.num_nodes, self.cluster.topology.nodes_per_super_node
         )
         #: rank -> I/O slowdown factor >= 1 for a degraded checkpoint disk;
         #: populated by :class:`repro.sim.faults.DiskFaultInjector` and read
@@ -268,6 +268,8 @@ class DistributedBFS:
         self._checkpoint_seconds = 0.0
         self._recovery_seconds = 0.0
         self._scrub_seconds = 0.0
+        #: Per-node transfer size of the last save (what scrub repairs ship).
+        self._save_bytes = 0
         #: node id -> its termination-marker peer list (config-fixed).
         self._peer_cache: dict[int, list[int]] = {}
 
@@ -593,21 +595,14 @@ class DistributedBFS:
 
     # -------------------------------------------------------------- collectives --
     def _allreduce_time(self) -> float:
-        """Latency of a small tree allreduce across all nodes."""
-        if self.num_nodes == 1:
-            return 0.0
-        t = self.spec.taihulight
-        rounds = int(np.ceil(np.log2(self.num_nodes)))
-        return rounds * (t.inter_super_node_latency + t.message_overhead)
+        return allreduce_seconds(self.num_nodes, self.spec.taihulight)
 
     def _hub_allgather_time(self, empty: bool) -> float:
-        if self.hubs is None or self.num_nodes == 1:
+        if self.hubs is None:
             return 0.0
-        t = self.spec.taihulight
-        per_node = self.hubs.allgather_bytes(empty)
-        rounds = int(np.ceil(np.log2(self.num_nodes)))
-        volume = per_node * self.num_nodes / t.nic_effective_bandwidth
-        return rounds * (t.inter_super_node_latency + t.message_overhead) + volume
+        return allgather_seconds(
+            self.num_nodes, self.hubs.allgather_bytes(empty), self.spec.taihulight
+        )
 
     # ------------------------------------------------------------------ levels --
     def _hub_settle_pass(self, t0: float) -> None:
@@ -700,80 +695,37 @@ class DistributedBFS:
         return subrounds
 
     # ------------------------------------------------------ checkpoint/recovery --
-    def _make_checkpoint_store(
-        self,
-    ) -> CheckpointStore | ShardedCheckpointStore | None:
-        """A fresh store per ``resilience.checkpoint_mode`` (None when off)."""
-        if self.resilience.checkpoint_interval <= 0:
-            return None
-        if self.resilience.checkpoint_mode == "rs":
-            code = RSCode(
-                self.resilience.rs_data_shards, self.resilience.rs_parity_shards
-            )
-            placement = ShardPlacement(
-                num_nodes=self.num_nodes,
-                nodes_per_super_node=self.cluster.topology.nodes_per_super_node,
-                data_shards=code.data_shards,
-                parity_shards=code.parity_shards,
-            )
-            return ShardedCheckpointStore(code, placement)
-        return CheckpointStore()
-
     def _checkpoint_transfer_seconds(self, nbytes: int) -> float:
-        """Shipping one node's snapshot to its buddy node over the NIC."""
+        """Shipping one checkpoint transfer (a buddy copy or a shard) to
+        another node over the NIC."""
         t = self.spec.taihulight
         return nbytes / t.nic_effective_bandwidth + t.message_overhead
 
     def _disk_factor(self) -> float:
         """Checkpoint I/O runs in parallel across nodes, so the slowest
         (possibly degraded) disk gates every barrier-synchronous pass."""
-        if not self.disk_slowdowns:
-            return 1.0
-        return max(1.0, max(self.disk_slowdowns.values()))
-
-    def _store_has_checkpoint(self) -> bool:
-        store = self.checkpoints
-        if store is None:
-            return False
-        if isinstance(store, ShardedCheckpointStore):
-            return store.has_checkpoint
-        return store.last is not None
+        return max([1.0, *self.disk_slowdowns.values()])
 
     def _take_checkpoint(self, level: int) -> None:
         """Snapshot the level barrier into the store and charge its cost:
-        every node writes its copy (buddy) or its k+m shard scatter (RS)
-        in parallel, plus a barrier."""
-        assert self.checkpoints is not None
+        every node makes the store's writes (one buddy copy, or k+m shards
+        of 1/k snapshot size) in parallel, plus a barrier."""
         store = self.checkpoints
+        assert store is not None
         traffic_before = store.bytes_written
-        ckpt = Checkpoint(
-            level=level,
-            snapshots=tuple(s.snapshot() for s in self.states),
-            hub_frontier=(
-                self.hubs.frontier.copy() if self.hubs is not None else None
-            ),
-            hub_visited=(
-                self.hubs.visited.copy() if self.hubs is not None else None
-            ),
-            policy_state=self.policy.state,
+        hubs = self.hubs
+        io = store.save(
+            Checkpoint(
+                level=level,
+                snapshots=tuple(s.snapshot() for s in self.states),
+                hub_frontier=hubs.frontier.copy() if hubs is not None else None,
+                hub_visited=hubs.visited.copy() if hubs is not None else None,
+                policy_state=self.policy.state,
+            )
         )
-        store.save(ckpt)
-        if isinstance(store, ShardedCheckpointStore):
-            # Each node scatters k+m shards of 1/k snapshot size to its
-            # holders: ~(k+m)/k of the buddy byte volume, one per-message
-            # overhead per shard.
-            cost = (
-                store.code.total_shards
-                * self._checkpoint_transfer_seconds(store.max_shard_bytes)
-                * self._disk_factor()
-                + self._allreduce_time()
-            )
-        else:
-            cost = (
-                self._checkpoint_transfer_seconds(ckpt.max_node_bytes)
-                * self._disk_factor()
-                + self._allreduce_time()
-            )
+        self._save_bytes = io.nbytes
+        transfer = self._checkpoint_transfer_seconds(io.nbytes)
+        cost = io.transfers * transfer * self._disk_factor() + self._allreduce_time()
         self._checkpoint_seconds += cost
         self._mark(self._t_max + cost)
         self.cluster.stats.counter("checkpoints").add()
@@ -786,16 +738,12 @@ class DistributedBFS:
         read every shard, verify its CRC, decode + re-place any that are
         corrupt or missing while >= k healthy shards survive per group."""
         store = self.checkpoints
-        assert isinstance(store, ShardedCheckpointStore)
+        assert store is not None
         if not store.has_checkpoint:
             return
         dead = self.cluster.dead_ranks()
-        alive_bytes = [
-            store.holder_bytes(rank)
-            for rank in range(self.num_nodes)
-            if rank not in dead
-        ]
-        rebuilt_before = store.shards_rebuilt
+        alive = [rank for rank in range(self.num_nodes) if rank not in dead]
+        alive_bytes = [store.holder_bytes(rank) for rank in alive]
         checked, repaired = store.scrub(dead=dead)
         if checked == 0 and repaired == 0:
             return
@@ -805,31 +753,31 @@ class DistributedBFS:
         cost = (
             max(alive_bytes, default=0) / t.nic_effective_bandwidth
             * self._disk_factor()
-            + repaired * self._checkpoint_transfer_seconds(store.max_shard_bytes)
+            + repaired * self._checkpoint_transfer_seconds(self._save_bytes)
             + self._allreduce_time()
         )
         self._scrub_seconds += cost
         self._mark(self._t_max + cost)
         self.cluster.stats.counter("scrub_passes").add()
         if repaired:
+            # Every scrub repair is one rebuilt shard.
             self.cluster.stats.counter("scrub_repairs").add(repaired)
-        rebuilt = store.shards_rebuilt - rebuilt_before
-        if rebuilt:
-            self.cluster.stats.counter("shards_rebuilt").add(rebuilt)
+            self.cluster.stats.counter("shards_rebuilt").add(repaired)
 
     def _recover_or_raise(self, dead: frozenset[int]) -> int:
         """Restore the last checkpoint after a crash; returns its level.
 
         The crashed ranks are revived (a replacement node adopting the
-        rank), then *every* node rewinds to the checkpointed barrier —
-        the only globally consistent state — and the driver re-runs the
-        lost levels. In RS mode the snapshots are *decoded* from the
-        surviving shards (the crashed ranks' disks count as erasures) and
-        missing shards are healed onto live holders, restoring the full
-        loss budget before the next fault. Raises :class:`SimulatedCrash`
-        when there is nothing to recover from or too many shards are gone.
+        rank, with an empty checkpoint disk), then *every* node rewinds to
+        the checkpointed barrier — the only globally consistent state —
+        and the driver re-runs the lost levels. The store applies its own
+        crash rules: buddy loses a snapshot when a node and its buddy both
+        crashed; RS decodes around the crashed ranks' shards and heals
+        them onto live holders. Raises :class:`SimulatedCrash` when there
+        is nothing to recover from or the checkpoint did not survive.
         """
-        if not self._store_has_checkpoint():
+        store = self.checkpoints
+        if store is None or not store.has_checkpoint:
             raise SimulatedCrash(
                 f"node(s) {sorted(dead)} crashed with no checkpoint to "
                 "recover from",
@@ -841,49 +789,24 @@ class DistributedBFS:
                 f"recovery limit ({self.resilience.max_recoveries}) exceeded",
                 node=min(dead),
             )
-        store = self.checkpoints
-        assert store is not None
-        if isinstance(store, ShardedCheckpointStore):
-            # A revived rank is *replacement* hardware: its checkpoint disk
-            # comes up empty, so its resident shards are erasures...
-            for rank in sorted(dead):
-                store.drop_holder(rank)
-            # ...and the replacements must be live before the heal pass can
-            # re-cover them (restoring the full m-loss budget immediately).
-            for rank in sorted(dead):
-                self.cluster.revive(rank, self._make_handler(self.states[rank]))
-            rebuilt_before = store.shards_rebuilt
-            try:
-                ckpt = store.restore()
-            except ReproError as exc:
-                raise SimulatedCrash(str(exc), node=min(dead)) from exc
-            rebuilt = store.shards_rebuilt - rebuilt_before
-            # Cost: failure detection, each node gathering k shards from
-            # distinct holders (pipelined, so k serial shard transfers
-            # bound it), healing traffic, and two agreement barriers.
-            cost = (
-                self.resilience.ack_timeout
-                + store.code.data_shards
-                * self._checkpoint_transfer_seconds(store.max_shard_bytes)
-                * self._disk_factor()
-                + rebuilt * self._checkpoint_transfer_seconds(store.max_shard_bytes)
-                + 2 * self._allreduce_time()
-            )
-            if rebuilt:
-                self.cluster.stats.counter("shards_rebuilt").add(rebuilt)
-        else:
-            ckpt = store.restore()
-            # Cost: detecting the failure (a timed-out barrier), re-fetching
-            # the snapshot from buddy memory in parallel, and two barriers
-            # to agree on the rewind.
-            cost = (
-                self.resilience.ack_timeout
-                + self._checkpoint_transfer_seconds(ckpt.max_node_bytes)
-                * self._disk_factor()
-                + 2 * self._allreduce_time()
-            )
-            for rank in sorted(dead):
-                self.cluster.revive(rank, self._make_handler(self.states[rank]))
+        for rank in sorted(dead):
+            self.cluster.revive(rank, self._make_handler(self.states[rank]))
+        try:
+            ckpt, io = store.recover(dead)
+        except ReproError as exc:
+            raise SimulatedCrash(str(exc), node=min(dead)) from exc
+        # Cost: detecting the failure (a timed-out barrier), every node
+        # reading its snapshot back in parallel, the heal traffic, and two
+        # barriers to agree on the rewind.
+        transfer = self._checkpoint_transfer_seconds(io.nbytes)
+        cost = (
+            self.resilience.ack_timeout
+            + io.transfers * transfer * self._disk_factor()
+            + io.rebuilt * transfer
+            + 2 * self._allreduce_time()
+        )
+        if io.rebuilt:
+            self.cluster.stats.counter("shards_rebuilt").add(io.rebuilt)
         for state, snap in zip(self.states, ckpt.snapshots):
             state.restore(snap)
         if self.hubs is not None:
@@ -945,7 +868,11 @@ class DistributedBFS:
         if self.resilience.checkpoint_interval > 0:
             # Fresh store per root; the level-0 checkpoint makes any crash
             # recoverable without replaying from an earlier root's state.
-            self.checkpoints = self._make_checkpoint_store()
+            self.checkpoints = make_checkpoint_store(
+                self.resilience,
+                self.num_nodes,
+                self.cluster.topology.nodes_per_super_node,
+            )
             self._take_checkpoint(0)
 
         level = 0
@@ -1039,7 +966,6 @@ class DistributedBFS:
             # latent corruption or loss the level's faults caused).
             if (
                 self.resilience.scrub_interval > 0
-                and isinstance(self.checkpoints, ShardedCheckpointStore)
                 and level % self.resilience.scrub_interval == 0
             ):
                 self._run_scrub()
@@ -1065,7 +991,8 @@ class DistributedBFS:
                 sum(1 for t in traces if t.direction == "bottomup")
             ),
         }
-        if self.channel is not None or self.checkpoints is not None:
+        store = self.checkpoints
+        if self.channel is not None or store is not None:
             stats.update(
                 {
                     k: self.cluster.stats.value(k) - resilience_before[k]
@@ -1073,25 +1000,13 @@ class DistributedBFS:
                 }
             )
             stats["recoveries"] = float(self._recoveries)
-            stats["checkpoints"] = float(
-                self.checkpoints.taken if self.checkpoints is not None else 0
-            )
+            stats["checkpoints"] = float(store.taken if store is not None else 0)
             stats["checkpoint_seconds"] = self._checkpoint_seconds
             stats["recovery_seconds"] = self._recovery_seconds
-        store = self.checkpoints
         if store is not None:
             # Durability accounting (the store is fresh per root, so these
             # are per-root figures): bytes held, bytes moved, fault tallies.
-            stats["checkpoint_storage_bytes"] = float(store.storage_bytes)
-            stats["checkpoint_raw_bytes"] = float(store.raw_bytes)
-            stats["checkpoint_traffic_bytes"] = float(store.bytes_written)
-            stats["shards_lost"] = float(store.shards_lost)
-            stats["shards_corrupted"] = float(store.shards_corrupted)
-            if isinstance(store, ShardedCheckpointStore):
-                stats["shards_rebuilt"] = float(store.shards_rebuilt)
-                stats["scrub_passes"] = float(store.scrub_passes)
-                stats["scrub_repairs"] = float(store.scrub_repairs)
-                stats["scrub_seconds"] = self._scrub_seconds
+            stats.update(store.durability_stats(self._scrub_seconds))
         result = BFSResult(
             root=root,
             parent=parent,

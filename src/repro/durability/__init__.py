@@ -12,8 +12,10 @@ storage" and makes the proof executable:
   the payload;
 - :mod:`repro.durability.shards` — snapshot serialisation,
   :class:`ShardPlacement` (never the owner, never its buddy, rack-aware
-  across fat-tree supernodes) and the :class:`ShardedCheckpointStore`
-  with per-shard CRC32, background scrub, and heal-on-restore;
+  across fat-tree supernodes), the :class:`ShardedCheckpointStore`
+  with per-shard CRC32, background scrub, and heal-on-restore, and
+  :func:`make_checkpoint_store`, which builds the buddy or the RS
+  :class:`~repro.resilience.checkpoint.DurableStore` the BFS driver calls;
 - :mod:`repro.durability.chaos` — seeded chaos campaigns
   (:func:`run_campaign`, ``python -m repro chaos``) sweeping randomized
   fault scenarios inside the loss budget and asserting bit-identical
@@ -21,8 +23,7 @@ storage" and makes the proof executable:
 
 Fault *injection* for disks lives with the other injectors in
 :mod:`repro.sim.faults` (:class:`~repro.sim.faults.DiskFaultPlan`);
-the BFS driver selects this store via
-``ResilienceConfig(checkpoint_mode="rs")``.
+``ResilienceConfig(checkpoint_mode="rs")`` selects this store.
 """
 
 from repro.durability.chaos import (
@@ -36,6 +37,7 @@ from repro.durability.rs import RSCode
 from repro.durability.shards import (
     ShardedCheckpointStore,
     ShardPlacement,
+    make_checkpoint_store,
     snapshot_from_bytes,
     snapshot_to_bytes,
 )
@@ -53,6 +55,7 @@ __all__ = [
     "RSCode",
     "ShardedCheckpointStore",
     "ShardPlacement",
+    "make_checkpoint_store",
     "snapshot_from_bytes",
     "snapshot_to_bytes",
 ]

@@ -15,13 +15,12 @@ three rules:
    before reusing one, so a whole-supernode outage costs the fewest
    possible shards per group.
 
-The :class:`ShardedCheckpointStore` mirrors the buddy
-:class:`~repro.resilience.checkpoint.CheckpointStore` interface
-(``save`` / ``restore`` / ``taken`` / ``restored``) but keeps *only*
-shards — (k+m)/k storage overhead instead of 2x — and therefore always
-exercises the decode path on restore: a recovered traversal's
-bit-identical parents are evidence the codec round-tripped, not an
-artifact of a retained plain copy. Every shard carries a CRC32; scrub
+The :class:`ShardedCheckpointStore` answers the same
+:class:`~repro.resilience.checkpoint.DurableStore` calls as the buddy
+store but keeps *only* shards — (k+m)/k storage overhead instead of 2x
+— and therefore always exercises the decode path on restore: a
+recovered traversal's bit-identical parents are evidence the codec
+round-tripped, not an artifact of a retained plain copy. Every shard carries a CRC32; scrub
 verifies them in the background and repairs corrupt/missing shards by
 decode + re-encode while >= k healthy shards survive per group.
 """
@@ -29,13 +28,21 @@ decode + re-encode while >= k healthy shards survive per group.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.durability.rs import RSCode
 from repro.errors import ConfigError, ReproError
-from repro.resilience.checkpoint import Checkpoint, NodeSnapshot
+from repro.resilience.checkpoint import (
+    Checkpoint,
+    CheckpointStore,
+    DurableStore,
+    NodeSnapshot,
+    StoreIO,
+    buddy as buddy_of,
+)
+from repro.resilience.config import ResilienceConfig
 
 
 def snapshot_to_bytes(snap: NodeSnapshot) -> np.ndarray:
@@ -98,12 +105,7 @@ class ShardPlacement:
                 f"got {self.num_nodes}"
             )
 
-    @staticmethod
-    def buddy(rank: int, num_nodes: int) -> int:
-        """The buddy-checkpoint partner of ``rank``: its XOR-1 pair, or
-        the previous rank when the pair would fall off the end."""
-        partner = rank ^ 1
-        return partner if partner < num_nodes else rank - 1
+    buddy = staticmethod(buddy_of)
 
     def holders(self, owner: int) -> tuple[int, ...]:
         """The k+m distinct holder ranks for ``owner``'s shards.
@@ -165,8 +167,8 @@ class _GroupMeta:
     holders: tuple[int, ...]
 
 
-class ShardedCheckpointStore:
-    """Erasure-coded drop-in for the buddy ``CheckpointStore``.
+class ShardedCheckpointStore(DurableStore):
+    """Erasure-coded :class:`~repro.resilience.checkpoint.DurableStore`.
 
     Shards are the *only* durable copy: ``restore`` always decodes, and
     heals any missing or corrupt shards back onto their planned holders
@@ -179,35 +181,16 @@ class ShardedCheckpointStore:
             placement.parity_shards != code.parity_shards
         ):
             raise ConfigError("placement and code disagree on (k, m)")
+        super().__init__()
         self.code = code
         self.placement = placement
-        self.taken = 0
-        self.restored = 0
-        #: Cumulative checkpoint traffic: every shard byte shipped to a
-        #: holder, including heal re-placements.
-        self.bytes_written = 0
-        #: Bytes of the current checkpoint actually resident on disks.
-        self.storage_bytes = 0
-        #: Serialized (pre-coding) bytes of the current checkpoint.
-        self.raw_bytes = 0
-        self.shards_lost = 0
-        self.shards_corrupted = 0
         self.shards_rebuilt = 0
         self.scrub_passes = 0
         self.scrub_repairs = 0
         self._shards: dict[tuple[int, int], _Shard] = {}
         self._groups: dict[int, _GroupMeta] = {}
-        self._meta: Checkpoint | None = None
 
     # -- introspection -------------------------------------------------------
-    @property
-    def last_level(self) -> int | None:
-        return self._meta.level if self._meta is not None else None
-
-    @property
-    def has_checkpoint(self) -> bool:
-        return self._meta is not None
-
     @property
     def max_shard_bytes(self) -> int:
         """Largest per-shard payload of the current checkpoint (the unit
@@ -225,8 +208,9 @@ class ShardedCheckpointStore:
         )
 
     # -- save ----------------------------------------------------------------
-    def save(self, checkpoint: Checkpoint) -> None:
-        """Shard and place a barrier checkpoint, replacing the previous one.
+    def save(self, checkpoint: Checkpoint) -> StoreIO:
+        """Shard and place a barrier checkpoint, replacing the previous one:
+        each node scatters its k+m shards to their holders.
 
         The hub/policy sidecar state rides in the (tiny) metadata record —
         the replicated hub bitmaps are already cluster-global, so sharding
@@ -235,13 +219,7 @@ class ShardedCheckpointStore:
         self._shards.clear()
         self._groups.clear()
         # Keep only the sidecar state; snapshots live exclusively in shards.
-        self._meta = Checkpoint(
-            level=checkpoint.level,
-            snapshots=(),
-            hub_frontier=checkpoint.hub_frontier,
-            hub_visited=checkpoint.hub_visited,
-            policy_state=checkpoint.policy_state,
-        )
+        self.last = replace(checkpoint, snapshots=())
         storage = 0
         raw = 0
         for owner, snap in enumerate(checkpoint.snapshots):
@@ -255,19 +233,12 @@ class ShardedCheckpointStore:
             )
             raw += len(payload)
             for index, holder in enumerate(holders):
-                data = np.ascontiguousarray(shards[index])
-                self._shards[(owner, index)] = _Shard(
-                    owner=owner,
-                    index=index,
-                    holder=holder,
-                    data=data,
-                    crc=zlib.crc32(data.tobytes()),
-                )
-                storage += len(data)
+                storage += self._place(owner, index, holder, shards[index])
         self.taken += 1
         self.storage_bytes = storage
         self.raw_bytes = raw
         self.bytes_written += storage
+        return StoreIO(self.code.total_shards, self.max_shard_bytes)
 
     # -- fault entry points (driven by DiskFaultInjector) --------------------
     def drop_holder(self, rank: int) -> int:
@@ -307,63 +278,67 @@ class ShardedCheckpointStore:
         checked = 0
         repaired = 0
         for owner in sorted(self._groups):
-            meta = self._groups[owner]
-            good: list[int] = []
-            bad: list[int] = []
-            for index in range(self.code.total_shards):
-                shard = self._shards.get((owner, index))
-                if shard is None:
-                    bad.append(index)
-                    continue
-                checked += 1
-                if shard.healthy:
-                    good.append(index)
-                else:
-                    bad.append(index)
+            good, bad = self._split_group(owner, frozenset())
+            checked += len(good) + sum((owner, i) in self._shards for i in bad)
             if not bad or len(good) < self.code.data_shards:
                 continue
-            repaired += self._rebuild_group(owner, meta, good, bad, dead)
+            payload = self._decode(owner, good)
+            repaired += self._rebuild_group(owner, payload, bad, dead)
         self.scrub_passes += 1
         self.scrub_repairs += repaired
         return checked, repaired
 
-    def _rebuild_group(
-        self,
-        owner: int,
-        meta: _GroupMeta,
-        good: list[int],
-        bad: list[int],
-        dead: frozenset[int],
-    ) -> int:
-        """Decode a group from its healthy shards and re-place the rest."""
-        payload = self.code.decode(
+    def _split_group(
+        self, owner: int, dead: frozenset[int]
+    ) -> tuple[list[int], list[int]]:
+        """``owner``'s shard indices that are readable (present, healthy,
+        not on a ``dead`` holder), and the rest."""
+        good: list[int] = []
+        bad: list[int] = []
+        for index in range(self.code.total_shards):
+            shard = self._shards.get((owner, index))
+            if shard is None or shard.holder in dead or not shard.healthy:
+                bad.append(index)
+            else:
+                good.append(index)
+        return good, bad
+
+    def _decode(self, owner: int, good: list[int]) -> np.ndarray:
+        return self.code.decode(
             np.asarray(good, dtype=np.int64),
             np.stack([self._shards[(owner, i)].data for i in good]),
-            meta.nbytes,
+            self._groups[owner].nbytes,
         )
+
+    def _rebuild_group(
+        self, owner: int, payload: np.ndarray, bad: list[int], dead: frozenset[int]
+    ) -> int:
+        """Re-encode ``owner``'s decoded payload and re-place the ``bad``
+        shards on their live holders."""
         fresh = self.code.encode(payload)
+        holders = self._groups[owner].holders
         rebuilt = 0
         for index in bad:
-            holder = meta.holders[index]
+            holder = holders[index]
             if holder in dead:
                 # No disk to write to yet; the next scrub or save catches it.
                 continue
             old = self._shards.get((owner, index))
             if old is not None:
                 self.storage_bytes -= len(old.data)
-            data = np.ascontiguousarray(fresh[index])
-            self._shards[(owner, index)] = _Shard(
-                owner=owner,
-                index=index,
-                holder=holder,
-                data=data,
-                crc=zlib.crc32(data.tobytes()),
-            )
-            self.storage_bytes += len(data)
-            self.bytes_written += len(data)
+            nbytes = self._place(owner, index, holder, fresh[index])
+            self.storage_bytes += nbytes
+            self.bytes_written += nbytes
             rebuilt += 1
         self.shards_rebuilt += rebuilt
         return rebuilt
+
+    def _place(self, owner: int, index: int, holder: int, shard: np.ndarray) -> int:
+        """Store one shard and its CRC32 on ``holder``; returns its size."""
+        data = np.ascontiguousarray(shard)
+        crc = zlib.crc32(data.tobytes())
+        self._shards[(owner, index)] = _Shard(owner, index, holder, data, crc)
+        return len(data)
 
     # -- restore -------------------------------------------------------------
     def restore(self, dead: frozenset[int] = frozenset()) -> Checkpoint:
@@ -377,38 +352,61 @@ class ShardedCheckpointStore:
         :class:`ReproError` when some group has fewer than k healthy
         shards (the >m-failures case).
         """
-        if self._meta is None:
+        if self.last is None:
             raise LookupError("no checkpoint to restore from")
         snapshots: list[NodeSnapshot] = []
         for owner in sorted(self._groups):
-            meta = self._groups[owner]
-            good: list[int] = []
-            bad: list[int] = []
-            for index in range(self.code.total_shards):
-                shard = self._shards.get((owner, index))
-                if shard is None or shard.holder in dead or not shard.healthy:
-                    bad.append(index)
-                else:
-                    good.append(index)
+            good, bad = self._split_group(owner, dead)
             if len(good) < self.code.data_shards:
                 raise ReproError(
                     f"unrecoverable checkpoint: node {owner}'s shard group "
                     f"has {len(good)} healthy shards, needs "
                     f"{self.code.data_shards}"
                 )
-            payload = self.code.decode(
-                np.asarray(good, dtype=np.int64),
-                np.stack([self._shards[(owner, i)].data for i in good]),
-                meta.nbytes,
+            payload = self._decode(owner, good)
+            snapshots.append(
+                snapshot_from_bytes(payload, self._groups[owner].n_local)
             )
-            snapshots.append(snapshot_from_bytes(payload, meta.n_local))
             if bad:
-                self._rebuild_group(owner, meta, good, bad, dead)
+                self._rebuild_group(owner, payload, bad, dead)
         self.restored += 1
-        return Checkpoint(
-            level=self._meta.level,
-            snapshots=tuple(snapshots),
-            hub_frontier=self._meta.hub_frontier,
-            hub_visited=self._meta.hub_visited,
-            policy_state=self._meta.policy_state,
+        return replace(self.last, snapshots=tuple(snapshots))
+
+    def recover(self, dead: frozenset[int]) -> tuple[Checkpoint, StoreIO]:
+        """Restore after ``dead`` crashed and came back as replacement
+        nodes with empty disks: their shards are erasures, each node
+        gathers k shards, and the heal pass re-places what was lost."""
+        for rank in sorted(dead):
+            self.drop_holder(rank)
+        rebuilt_before = self.shards_rebuilt
+        checkpoint = self.restore()
+        io = StoreIO(
+            self.code.data_shards,
+            self.max_shard_bytes,
+            self.shards_rebuilt - rebuilt_before,
         )
+        return checkpoint, io
+
+    def durability_stats(self, scrub_seconds: float) -> dict[str, float]:
+        """The shared figures plus heals and scrubs."""
+        return {
+            **super().durability_stats(scrub_seconds),
+            "shards_rebuilt": float(self.shards_rebuilt),
+            "scrub_passes": float(self.scrub_passes),
+            "scrub_repairs": float(self.scrub_repairs),
+            "scrub_seconds": scrub_seconds,
+        }
+
+
+def make_checkpoint_store(
+    resilience: ResilienceConfig, num_nodes: int, nodes_per_super_node: int
+) -> DurableStore | None:
+    """A fresh store per ``resilience.checkpoint_mode`` (None when
+    checkpointing is off); an infeasible RS placement raises here."""
+    if resilience.checkpoint_interval <= 0:
+        return None
+    if resilience.checkpoint_mode == "buddy":
+        return CheckpointStore()
+    k, m = resilience.rs_data_shards, resilience.rs_parity_shards
+    placement = ShardPlacement(num_nodes, nodes_per_super_node, k, m)
+    return ShardedCheckpointStore(RSCode(k, m), placement)

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigError, ValidationError
 from repro.graph.edgelist import EdgeList
+from repro.network.collectives import allgather_seconds
 
 
 @dataclass
@@ -136,8 +137,10 @@ class DistributedValidator:
         for part, d in zip(eng.parts, depth):
             full_depth[part.lo : part.hi] = d
 
-        # Replicate depths (allgather, priced) and run the edge rules.
-        t_allgather = self._allgather_cost(n)
+        # Replicate depths (allgather of int64s, priced) and run the edge rules.
+        t_allgather = allgather_seconds(
+            eng.num_nodes, n // eng.num_nodes * 8, eng.spec.taihulight
+        )
         eng._mark(eng.sim_seconds + t_allgather)
 
         e = self.edges.without_self_loops()
@@ -159,15 +162,4 @@ class DistributedValidator:
             depth=full_depth,
             sim_seconds=eng.sim_seconds - t_start,
             supersteps=rounds,
-        )
-
-    def _allgather_cost(self, n: int) -> float:
-        t = self.engine.spec.taihulight
-        per_node = n // self.engine.num_nodes * 8
-        if self.engine.num_nodes == 1:
-            return 0.0
-        rounds = int(np.ceil(np.log2(self.engine.num_nodes)))
-        return (
-            rounds * (t.inter_super_node_latency + t.message_overhead)
-            + per_node * self.engine.num_nodes / t.nic_effective_bandwidth
         )

@@ -1,7 +1,8 @@
 """Collective operations over SimMPI: broadcast, reduce, allreduce, allgather.
 
-The BFS driver charges its per-level control collectives analytically (one
-formula, zero events); this module provides the *executed* equivalents —
+The drivers charge their control collectives analytically (zero events)
+with :func:`allreduce_seconds` and :func:`allgather_seconds`; this module
+also provides the *executed* equivalents —
 real message patterns over the simulated fabric — for substrate testing
 and for algorithms that want collective semantics (binomial trees for
 broadcast/reduce, recursive doubling for allreduce, ring for allgather).
@@ -16,9 +17,31 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
+import numpy as np
 
 from repro.errors import ConfigError
+from repro.machine.specs import TaihuLightSpec
 from repro.network.simmpi import Message, SimCluster
+
+
+def allreduce_seconds(num_nodes: int, spec: TaihuLightSpec) -> float:
+    """Latency of a small tree allreduce across ``num_nodes``: one
+    inter-super-node hop plus message overhead per round."""
+    if num_nodes == 1:
+        return 0.0
+    rounds = int(np.ceil(np.log2(num_nodes)))
+    return rounds * (spec.inter_super_node_latency + spec.message_overhead)
+
+
+def allgather_seconds(
+    num_nodes: int, per_node_bytes: int, spec: TaihuLightSpec
+) -> float:
+    """An allgather of ``per_node_bytes`` from every node: the allreduce
+    rounds plus the whole gathered volume over one NIC."""
+    if num_nodes == 1:
+        return 0.0
+    volume = per_node_bytes * num_nodes / spec.nic_effective_bandwidth
+    return allreduce_seconds(num_nodes, spec) + volume
 
 
 class Collectives:

@@ -144,7 +144,7 @@ def test_store_restore_always_decodes_bit_identically():
     store = _store()
     ckpt = _checkpoint()
     store.save(ckpt)
-    assert store.has_checkpoint and store.last_level == 2
+    assert store.has_checkpoint and store.last.level == 2
     _assert_checkpoints_equal(store.restore(), ckpt)
 
 
@@ -257,7 +257,7 @@ def test_save_replaces_previous_checkpoint():
     written = store.bytes_written
     store.save(second)
     assert store.taken == 2
-    assert store.last_level == 4
+    assert store.last.level == 4
     assert store.bytes_written == 2 * written  # same-shaped checkpoints
     _assert_checkpoints_equal(store.restore(), second)
 

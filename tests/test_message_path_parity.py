@@ -8,6 +8,9 @@ and span rows for the telemetry cases). The digests were recorded from the
 per-message scalar driver that the batched driver replaced, and the
 batched driver reproduced every one of them before the scalar driver was
 deleted: a digest change is a change to simulated behaviour, not noise.
+The two crash-recovery cases (``buddy-crash``, ``rs-crash-disk``) were
+recorded from the driver that still branched on the checkpoint store's
+type, before both stores answered one ``save``/``recover`` surface.
 
 The cluster primitive, the network pricing, the pipeline servers and the
 reliable transport are still checked pairwise — ``N`` single sends against
@@ -37,7 +40,14 @@ from repro.network.topology import FatTreeTopology
 from repro.resilience.channel import ReliableChannel
 from repro.resilience.config import ResilienceConfig
 from repro.sim.engine import Engine
-from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.faults import (
+    DiskFaultInjector,
+    DiskFaultPlan,
+    FaultInjector,
+    FaultPlan,
+    NodeFaultInjector,
+    NodeFaultPlan,
+)
 from repro.sim.resources import Server
 from repro.telemetry import Telemetry
 
@@ -62,6 +72,10 @@ GOLDEN = {
         "2229fca85d5d04c0dde25a0d8e76c9bbc7d79caf618513849f34864717314f91",
     "reliable-checkpoints":
         "67a50caf188d8c06fc007d4f85723f4aefc750eeb0ff9d1056dbedec536ed9b3",
+    "buddy-crash":
+        "29fd466cddf7bff43267bf5f4aeae811fac0ec1a8bdf70834bf03ad527f9897a",
+    "rs-crash-disk":
+        "e019e36383067634925bc5d27d7ab2a0acbefe142be36a44459a0ea9bbc12ab9",
     "fault-injector":
         "fb567efc676c7fd737474f1820daf4fe087870c96bd422ac837e296edabee6dd",
     "telemetry-relay":
@@ -150,6 +164,38 @@ def test_traversal_parity_reliable_transport():
 def test_traversal_parity_reliable_transport_with_checkpoints():
     res = ResilienceConfig(reliable_transport=True, checkpoint_interval=2)
     assert _traversal_digest(resilience=res) == GOLDEN["reliable-checkpoints"]
+
+
+def _recovery_digest(resilience, disk_faults=None):
+    """Rank 3 fail-stops at 1e-4 (the CLI's ``--crash-at`` default) while
+    root 1 runs; root 5 runs on the revived rank."""
+    bfs = DistributedBFS(
+        _edges(), 8, config=variant_config("relay-cpe"), resilience=resilience
+    )
+    NodeFaultInjector(bfs.cluster, NodeFaultPlan(crash_at={3: 1e-4}))
+    if disk_faults is not None:
+        DiskFaultInjector(bfs, disk_faults, seed=0)
+    results = [bfs.run(r) for r in (1, 5)]
+    assert results[0].stats["recoveries"] == 1.0
+    return _digest(results, bfs.cluster.stats.snapshot())
+
+
+def test_traversal_parity_buddy_crash_recovery():
+    res = ResilienceConfig(checkpoint_interval=1)
+    assert _recovery_digest(res) == GOLDEN["buddy-crash"]
+
+
+def test_traversal_parity_rs_crash_and_disk_faults():
+    """RS(4, 2) with a scrub every level: the crash, a lost disk and a
+    corrupt shard all land in level 1, so recovery decodes around them
+    and heals 13 shards; the degraded disk slows every checkpoint pass."""
+    res = ResilienceConfig(
+        checkpoint_interval=1, checkpoint_mode="rs", scrub_interval=1
+    )
+    disk = DiskFaultPlan(
+        lose_at={5: 1e-4}, corrupt_at={6: 1e-4}, degrade={2: 1.5}
+    )
+    assert _recovery_digest(res, disk) == GOLDEN["rs-crash-disk"]
 
 
 def test_traversal_parity_under_fault_injector():

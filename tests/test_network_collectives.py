@@ -8,7 +8,11 @@ import pytest
 from repro.errors import ConfigError
 from repro.machine.specs import TAIHULIGHT
 from repro.network import SimCluster
-from repro.network.collectives import Collectives
+from repro.network.collectives import (
+    Collectives,
+    allgather_seconds,
+    allreduce_seconds,
+)
 from repro.sim import Engine
 
 
@@ -108,3 +112,14 @@ def test_allreduce_time_close_to_analytic_charge():
         spec.inter_super_node_latency + spec.message_overhead
     )
     assert analytic / 5 < t < analytic * 10
+
+
+def test_analytic_collective_charges():
+    spec = TAIHULIGHT.taihulight
+    hop = spec.inter_super_node_latency + spec.message_overhead
+    assert allreduce_seconds(1, spec) == 0.0
+    assert allgather_seconds(1, 64, spec) == 0.0
+    assert allreduce_seconds(5, spec) == 3 * hop
+    assert allgather_seconds(4, 64, spec) == (
+        2 * hop + 64 * 4 / spec.nic_effective_bandwidth
+    )

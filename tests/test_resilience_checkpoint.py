@@ -10,7 +10,13 @@ fatal).
 import numpy as np
 import pytest
 
-from repro.resilience.checkpoint import Checkpoint, CheckpointStore, NodeSnapshot
+from repro.errors import ReproError
+from repro.resilience.checkpoint import (
+    Checkpoint,
+    CheckpointStore,
+    NodeSnapshot,
+    StoreIO,
+)
 
 
 def _snapshot(n_local: int, frontier=()):
@@ -101,3 +107,40 @@ def test_buddy_corruption_is_detected_but_unrepairable():
     assert store.shards_lost == 0  # counted as corruption, not loss
     with pytest.raises(LookupError):
         store.restore()
+
+
+# --- the shared store surface -------------------------------------------------
+def test_buddy_save_and_recover_report_one_node_sized_transfer():
+    ckpt = Checkpoint(
+        level=1, snapshots=tuple(_snapshot(n) for n in (16, 64, 32, 8))
+    )
+    store = CheckpointStore()
+    assert not store.has_checkpoint
+    assert store.save(ckpt) == StoreIO(1, ckpt.max_node_bytes)
+    assert store.has_checkpoint
+    restored, io = store.recover(frozenset({0, 2}))
+    assert restored is ckpt
+    assert io == StoreIO(1, ckpt.max_node_bytes, rebuilt=0)
+
+
+def test_buddy_recover_refuses_a_crashed_buddy_pair():
+    """Ranks 2 and 3 hold each other's only copy; with an odd node count
+    the last rank's buddy is the previous rank."""
+    store = CheckpointStore()
+    store.save(Checkpoint(level=1, snapshots=(_snapshot(8),) * 4))
+    with pytest.raises(ReproError, match="node 2 and its buddy 3"):
+        store.recover(frozenset({1, 2, 3}))
+    assert store.restored == 0
+    store.save(Checkpoint(level=2, snapshots=(_snapshot(8),) * 3))
+    with pytest.raises(ReproError, match="node 0 and its buddy 1"):
+        store.recover(frozenset({0, 1}))
+    with pytest.raises(ReproError, match="node 2 and its buddy 1"):
+        store.recover(frozenset({1, 2}))  # buddy(2) == 1 on three nodes
+
+
+def test_buddy_scrub_checks_nothing():
+    """No per-shard checksums: a scrub pass reads and repairs nothing."""
+    store = CheckpointStore()
+    store.save(Checkpoint(level=1, snapshots=(_snapshot(8),) * 2))
+    assert store.scrub() == (0, 0)
+    assert store.holder_bytes(0) == 0

@@ -196,6 +196,30 @@ def test_runner_skip_policy_records_failed_root():
     assert "1 root(s) FAILED" in report.summary()
 
 
+@pytest.mark.parametrize("mode", ["buddy", "rs"])
+@pytest.mark.parametrize(
+    "crashed", [(0, 1), (0, 5)], ids=["buddy-pair", "unpaired"]
+)
+def test_two_crashes_recover_unless_a_buddy_pair_dies(mode, crashed):
+    """Ranks 0 and 1 are each other's buddy: when both crash, both copies
+    of each one's snapshot are gone and the buddy store cannot recover.
+    RS(4, 2) never places a shard on the owner or its buddy, so it
+    survives any two crashes."""
+    edges, graph, root, bfs = make_bfs(
+        resilience=ResilienceConfig(checkpoint_interval=1, checkpoint_mode=mode)
+    )
+    NodeFaultInjector(
+        bfs.cluster, NodeFaultPlan(crash_at={rank: 1e-5 for rank in crashed})
+    )
+    if mode == "buddy" and crashed == (0, 1):
+        with pytest.raises(SimulatedCrash, match="node 0 and its buddy 1"):
+            bfs.run(root)
+        return
+    result = bfs.run(root)
+    assert result.stats["recoveries"] == 1
+    validate_bfs_result(graph, edges, root, result.parent)
+
+
 def test_runner_abort_policy_raises():
     runner = Graph500Runner(
         scale=10,
