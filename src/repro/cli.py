@@ -198,7 +198,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Static checks (REP1xx per file, REP2xx whole program), CI-gateable."""
+    """Static per-file checks (REP100-REP109), CI-gateable."""
     import pathlib
 
     from repro.sanitizers import RULES, lint_paths
@@ -639,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="determinism, lock-order and effect checks over python "
-             "sources (rule ids REP100-REP204)",
+        help="determinism and lock-hygiene checks over python sources "
+             "(rule ids REP100-REP109)",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: the installed "

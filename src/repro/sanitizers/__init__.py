@@ -7,9 +7,7 @@ turned into machine-checked properties:
   the simulator sources: wall-clock reads, global RNG, hash-order
   iteration, unsorted set unions, slot-less hot dataclasses,
   service-layer kernel-construction bypasses, bare lock acquires (rule
-  ids REP100-REP109), plus the whole-program lock-order and effect
-  passes of :mod:`repro.analysis` (REP202-REP204) over the same parsed
-  trees; ``# repro: noqa[RULE]`` suppresses any of them;
+  ids REP100-REP109); ``# repro: noqa[RULE]`` suppresses any of them;
 - :mod:`~repro.sanitizers.mesh_prover` — static prover for the Section
   4.3 register-mesh shuffle: role partition, row-then-column direction
   discipline, channel-dependency acyclicity, per-phase port exclusivity

@@ -12,9 +12,7 @@ false-positive-light; the runtime sanitizers in
 :mod:`repro.sanitizers.runtime` catch what escapes the syntax.
 
 This module also drives ``repro lint`` as a whole: each file is parsed
-once, the visitor runs on each tree, and the same trees feed the call
-graph behind the REP2xx lock-order and effect passes
-(:mod:`repro.analysis.lockorder`).
+once and the visitor and the bare-acquire scan run on its tree.
 """
 
 from __future__ import annotations
@@ -412,13 +410,8 @@ def _scan_bare_acquires(tree: ast.AST, visitor: _LintVisitor) -> None:
 def _lint(sources: Mapping[str, str], scope: str | None) -> LintReport:
     """Every rule over ``{path: source}``; ``scope`` overrides path-based
     scoping of the REP1xx rules."""
-    # The whole-program passes import this package back (Finding), so
-    # they load at call time.
-    from repro.analysis.callgraph import build_callgraph
-    from repro.analysis.lockorder import lock_findings
-
     findings: list[Finding] = []
-    parsed: dict[str, tuple[ast.Module, list[str]]] = {}
+    lines: dict[str, list[str]] = {}
     for path, source in sources.items():
         try:
             tree = ast.parse(source, filename=path)
@@ -439,13 +432,11 @@ def _lint(sources: Mapping[str, str], scope: str | None) -> LintReport:
         visitor.visit(tree)
         _scan_bare_acquires(tree, visitor)
         findings.extend(visitor.findings)
-        parsed[path] = (tree, source.splitlines())
-    findings.extend(lock_findings(build_callgraph(parsed)))
+        lines[path] = source.splitlines()
 
     report = LintReport(checked_files=len(sources))
     for finding in findings:
-        lines = parsed[finding.path][1] if finding.path in parsed else []
-        if is_suppressed(finding, lines):
+        if is_suppressed(finding, lines.get(finding.path, [])):
             report.suppressed += 1
         else:
             report.findings.append(finding)

@@ -3,12 +3,10 @@
 The harness rests on bit-exact reproducibility claims — batched == scalar
 message paths, worker-count-invariant telemetry, seed-replayable faults —
 that a single stray wall-clock read or unordered ``set`` iteration silently
-voids, and the service on a lock discipline a single blocking call under
-the wrong lock breaks. Each hazard class is a :class:`Rule` with a stable
-id: REP1xx come from the per-file AST pass in
-:mod:`repro.sanitizers.determinism`, REP2xx from the whole-program passes
-in :mod:`repro.analysis.lockorder`. Both emit :class:`Finding` objects that
-render as human text, JSON or SARIF and honour per-line suppressions::
+voids. Each hazard class is a :class:`Rule` with a stable id (REP100-REP109)
+checked by the per-file AST pass in :mod:`repro.sanitizers.determinism`;
+it emits :class:`Finding` objects that render as human text, JSON or SARIF
+and honour per-line suppressions::
 
     peers = set(a) | set(b)  # repro: noqa[REP104]
 
@@ -117,32 +115,6 @@ RULES: dict[str, Rule] = {
             "acquire/try/finally-release idiom; an exception between "
             "acquire and release leaks the lock and deadlocks the next "
             "taker — use 'with lock:' (or release in a finally)",
-            "repro",
-        ),
-        Rule(
-            "REP202",
-            "lock-order-cycle",
-            "cycle in the lock-acquisition graph (lock B taken while A is "
-            "held and, elsewhere, A while B is held) — a potential deadlock "
-            "the moment two threads walk the cycle from different ends",
-            "repro",
-        ),
-        Rule(
-            "REP203",
-            "blocking-under-lock",
-            "blocking operation (socket I/O, kernel construction/execution, "
-            "Condition.wait on another lock, sleep/join/result) while "
-            "holding a fast catalog/cache lock that every admission and "
-            "lookup crosses",
-            "repro",
-        ),
-        Rule(
-            "REP204",
-            "effect-annotation-mismatch",
-            "an @effects(...) / '# repro: effect=' declaration the AST "
-            "contradicts (a 'pure' function that stores, locks or blocks, "
-            "a 'locked:<name>' function that does not acquire the named "
-            "lock)",
             "repro",
         ),
     )

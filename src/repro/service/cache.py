@@ -21,11 +21,10 @@ standalone.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
-from repro.analysis.effects import effects
 from repro.errors import ConfigError
+from repro.utils.locks import NamedLock
 
 
 class ResultCache:
@@ -36,7 +35,7 @@ class ResultCache:
             raise ConfigError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lines: OrderedDict[tuple, object] = OrderedDict()
-        self._lock = threading.Lock()
+        self._lock = NamedLock("ResultCache._lock", fast=True)
         self.hits = 0
         self.misses = 0
         self.inserts = 0
@@ -47,7 +46,6 @@ class ResultCache:
         with self._lock:
             return len(self._lines)
 
-    @effects("locked:ResultCache._lock")
     def get(self, key: tuple) -> object | None:
         """The cached payload for ``key`` (marked most-recent), or None."""
         with self._lock:
@@ -59,7 +57,6 @@ class ResultCache:
             self.hits += 1
             return value
 
-    @effects("locked:ResultCache._lock")
     def put(self, key: tuple, value: object) -> None:
         """Insert/refresh a line, evicting the least-recent past capacity."""
         with self._lock:

@@ -24,7 +24,6 @@ generator, same shared-CSR construction, same kernel defaults.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,11 +31,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.analysis.effects import effects
 from repro.errors import ConfigError, ReproError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.kronecker import KroneckerGenerator
+from repro.utils.locks import NamedLock, blocking
 from repro.utils.tables import Table
 
 if TYPE_CHECKING:
@@ -85,8 +84,8 @@ class CatalogEntry:
         #: history-independent — the parallel-roots parity matrix pins
         #: that), so they are cached per variant; each carries a lock
         #: because one kernel must not run two roots concurrently.
-        self._bfs_kernels: dict[str, tuple[object, threading.Lock]] = {}
-        self._kernel_lock = threading.Lock()
+        self._bfs_kernels: dict[str, tuple[object, NamedLock]] = {}
+        self._kernel_lock = NamedLock("CatalogEntry._kernel_lock")
 
     # -- sizing -------------------------------------------------------------------
     def resident_bytes(self) -> int:
@@ -97,13 +96,13 @@ class CatalogEntry:
         )
 
     # -- kernels ------------------------------------------------------------------
-    @effects("locked:CatalogEntry._kernel_lock")
-    def _bfs_kernel(self, variant: str) -> tuple[object, threading.Lock]:
+    def _bfs_kernel(self, variant: str) -> tuple[object, NamedLock]:
         with self._kernel_lock:
             hit = self._bfs_kernels.get(variant)
             if hit is None:
                 from repro.baselines import make_variant
 
+                blocking("make_variant")
                 kernel = make_variant(
                     variant,
                     self.edges,
@@ -111,7 +110,9 @@ class CatalogEntry:
                     nodes_per_super_node=self.spec.nodes_per_super_node,
                     graph=self.graph,
                 )
-                hit = self._bfs_kernels[variant] = (kernel, threading.Lock())
+                hit = self._bfs_kernels[variant] = (
+                    kernel, NamedLock("CatalogEntry.variant_lock")
+                )
             return hit
 
     def _superstep_kwargs(self) -> dict:
@@ -133,6 +134,7 @@ class CatalogEntry:
             raise ConfigError(f"unknown algorithm {algo!r}")
         if self.evicted:
             raise ConfigError(f"graph {self.name!r} has been evicted")
+        blocking("CatalogEntry.execute")
         payload = runner(params)
         self.executes += 1
         return payload
@@ -229,7 +231,6 @@ class CatalogEntry:
         }
 
     # -- teardown -----------------------------------------------------------------
-    @effects("locked:CatalogEntry._kernel_lock")
     def _release(self) -> None:
         """Drop kernels and unhost the shm segment (last pin is gone)."""
         with self._kernel_lock:
@@ -248,7 +249,7 @@ class GraphCatalog:
         host_shared: bool = True,
     ) -> None:
         self._entries: dict[str, CatalogEntry] = {}
-        self._lock = threading.Lock()
+        self._lock = NamedLock("GraphCatalog._lock", fast=True)
         self._eviction_listeners: list[Callable[[str], None]] = []
         self.metrics = metrics
         #: Rehost loaded CSRs into POSIX shared memory when available so
@@ -289,10 +290,12 @@ class GraphCatalog:
                 graph = shared.graph
         entry = CatalogEntry(name, spec, edges, graph, shared=shared)
         with self._lock:
-            if name in self._entries:  # lost a load race; fold ours away
-                entry._release()
-                raise ConfigError(f"graph {name!r} is already loaded")
-            self._entries[name] = entry
+            lost = name in self._entries
+            if not lost:
+                self._entries[name] = entry
+        if lost:  # lost a load race; fold ours away outside the lock
+            entry._release()
+            raise ConfigError(f"graph {name!r} is already loaded")
         if self.metrics is not None:
             self.metrics.counter("service_catalog_loads").add()
         return entry

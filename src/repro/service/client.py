@@ -11,11 +11,11 @@ several clients for concurrency, they are cheap).
 from __future__ import annotations
 
 import socket
-import threading
 
 from repro.errors import ProtocolError, ReproError
 from repro.service.protocol import encode_frame, recv_frame
 from repro.service.query import QueryResult
+from repro.utils.locks import NamedLock
 
 
 class ServiceError(ReproError, RuntimeError):
@@ -31,7 +31,7 @@ class ServiceClient:
         self.host = host
         self.port = port
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._lock = threading.Lock()
+        self._lock = NamedLock("ServiceClient._lock")
 
     # -- plumbing -----------------------------------------------------------------
     def call(self, request: dict) -> dict:

@@ -30,6 +30,7 @@ import struct
 import numpy as np
 
 from repro.errors import ProtocolError
+from repro.utils.locks import blocking
 
 #: Frame header: unsigned 32-bit big-endian body length.
 HEADER = struct.Struct(">I")
@@ -105,6 +106,7 @@ def read_frame_length(header: bytes) -> int:
 
 def recv_frame(sock: socket.socket) -> dict | None:
     """Read one frame from a blocking socket; None on clean EOF."""
+    blocking("recv_frame")
     header = _recv_exact(sock, HEADER.size)
     if header is None:
         return None

@@ -23,13 +23,13 @@ simulated machine — no REP101 concern out here) but takes an injectable
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.utils.locks import named_condition
 
 #: ``offer`` outcomes.
 QUEUED = "queued"
@@ -133,7 +133,7 @@ class FairScheduler:
         self._ring: deque[str] = deque()
         self._pending = 0
         self._closed = False
-        self._cv = threading.Condition()
+        self._cv = named_condition("FairScheduler._cv")
 
     # -- configuration ---------------------------------------------------------
     def configure_tenant(self, name: str, config: TenantConfig) -> None:

@@ -51,6 +51,7 @@ from repro.service.scheduler import (
     TenantConfig,
 )
 from repro.telemetry.metrics import MetricsRegistry
+from repro.utils.locks import blocking
 from repro.utils.tables import Table
 
 #: Latency-ish histogram buckets (seconds): µs cache hits up to multi-
@@ -197,7 +198,9 @@ class GraphService:
 
     def query(self, request: QueryRequest) -> QueryResult:
         """Synchronous :meth:`submit`; blocks until the result."""
-        return self.submit(request).result()
+        future = self.submit(request)
+        blocking("Future.result")
+        return future.result()
 
     # -- execution ---------------------------------------------------------------
     def _worker_loop(self) -> None:
@@ -289,6 +292,7 @@ class GraphService:
             return
         self._closed = True
         self.scheduler.close()
+        blocking("Thread.join")
         for t in self._workers:
             t.join()
         if evict:

@@ -22,12 +22,12 @@ Label semantics follow the Prometheus conventions that matter here:
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigError
+from repro.utils.locks import NamedLock
 
 #: Default histogram bucket upper bounds (seconds-ish, log-spaced).
 DEFAULT_BUCKETS = (
@@ -161,7 +161,7 @@ class _Family:
     children: dict[tuple, object] = field(default_factory=dict)
 
 
-def _render_key(  # repro: effect=pure
+def _render_key(
     name: str, label_keys: tuple[str, ...], values: tuple
 ) -> str:
     if not label_keys:
@@ -190,10 +190,10 @@ class MetricsRegistry:
         # increments on the loser would be lost. Reads stay lock-free
         # (dict.get is atomic) and snapshots sort, so creation order never
         # leaks.
-        self._create_lock = threading.Lock()
+        self._create_lock = NamedLock("MetricsRegistry._create_lock")
 
     # -- family plumbing -----------------------------------------------------
-    def _child(  # repro: effect=locked:MetricsRegistry._create_lock
+    def _child(
         self, name: str, kind: str, labels: dict, factory: Callable[[str], Any]
     ) -> Any:
         keys = tuple(sorted(labels))
@@ -233,7 +233,7 @@ class MetricsRegistry:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._create_lock = threading.Lock()
+        self._create_lock = NamedLock("MetricsRegistry._create_lock")
 
     # -- metric constructors ---------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:

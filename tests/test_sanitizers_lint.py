@@ -18,9 +18,8 @@ FIXTURE = os.path.join(
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
 )
-#: The per-file AST rules the fixture trips (REP100 needs a file that
-#: does not parse; REP2xx need locks and effect annotations).
-SYNTACTIC_RULES = {r for r in RULES if r.startswith("REP1")} - {"REP100"}
+#: The rules the fixture trips (REP100 needs a file that does not parse).
+SYNTACTIC_RULES = set(RULES) - {"REP100"}
 
 
 def rules_hit(report) -> set[str]:

@@ -1,11 +1,16 @@
 """Catalog lifecycle: load, pin, evict, kernel reuse, stats."""
 
+import os
+
 import numpy as np
 import pytest
 
+import repro.service.catalog as catalog_module
 from repro.errors import ConfigError
+from repro.graph.csr import CSRGraph
 from repro.graph.kronecker import KroneckerGenerator
 from repro.service import GraphCatalog, GraphSpec
+from repro.utils.locks import WITNESS
 
 SPEC = GraphSpec(scale=7, nodes=2, seed=1)
 
@@ -132,3 +137,40 @@ def test_shared_memory_hosting_roundtrip():
     finally:
         cat.close()
     assert entry.shared is None  # destroyed on eviction
+
+
+def test_lost_load_race_releases_outside_the_catalog_lock(monkeypatch):
+    from repro.graph.shm import shared_memory_available
+
+    if not (shared_memory_available() and os.path.isdir("/dev/shm")):
+        pytest.skip("POSIX shared memory unavailable")
+    cat = GraphCatalog(host_shared=True)
+    winner = []
+
+    class RacingCSR:
+        """The outer load's CSR build runs a nested load of the same
+        name first, so the outer load finds the name taken."""
+
+        raced = False
+
+        @staticmethod
+        def from_edges(edges):
+            if not RacingCSR.raced:
+                RacingCSR.raced = True  # set first: the nested load re-enters
+                winner.append(cat.load("g", SPEC))
+            return CSRGraph.from_edges(edges)
+
+    monkeypatch.setattr(catalog_module, "CSRGraph", RacingCSR)
+    before = set(os.listdir("/dev/shm"))
+    try:
+        with pytest.raises(ConfigError, match="already loaded"):
+            cat.load("g", SPEC)
+        (entry,) = winner
+        assert cat.get("g") is entry
+        payload = entry.execute("bfs", {"root": 0, "variant": "relay-cpe"})
+        assert payload["parent"].shape == (128,)
+        # Only the winner's segment is new: the loser unlinked its own.
+        assert set(os.listdir("/dev/shm")) - before == {entry.shared.name}
+    finally:
+        cat.close()
+    assert not [e for e in WITNESS.edges() if e[0] == "GraphCatalog._lock"]
