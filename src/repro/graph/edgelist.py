@@ -16,6 +16,19 @@ import numpy as np
 
 from repro.errors import ConfigError
 
+#: Largest vertex count whose int64 pair key ``src*n + dst`` is exact:
+#: ``floor(sqrt(2**63 - 1))``, past scale 31.
+MAX_PAIR_KEY_VERTICES = 3_037_000_499
+
+
+def check_pair_keys(num_vertices: int) -> None:
+    """Raise :class:`ConfigError` if ``src*n + dst`` could wrap in int64."""
+    if num_vertices > MAX_PAIR_KEY_VERTICES:
+        raise ConfigError(
+            f"num_vertices {num_vertices} exceeds {MAX_PAIR_KEY_VERTICES}, the "
+            "largest vertex count whose int64 edge key src*n + dst cannot wrap"
+        )
+
 
 @dataclass(frozen=True)
 class EdgeList:
@@ -61,13 +74,15 @@ class EdgeList:
         return EdgeList(self.src[keep], self.dst[keep], self.num_vertices)
 
     def deduplicated(self) -> "EdgeList":
-        """Drop duplicate (src, dst) tuples (used for CSR construction).
+        """Drop duplicate (src, dst) tuples, keeping each first occurrence
+        in input order.
 
-        The result is cached on the instance: dedup is the expensive sort
-        of CSR construction, and benchmark harnesses dedup the same list
-        repeatedly (kernel construction, validation, TEPS accounting).
-        EdgeLists are immutable, so the cache can never go stale.
+        The result is cached on the instance, so a caller that dedups the
+        same list repeatedly pays for one sort. EdgeLists are immutable, so
+        the cache can never go stale. Raises :class:`ConfigError` past
+        :data:`MAX_PAIR_KEY_VERTICES`, where the pair key would wrap.
         """
+        check_pair_keys(self.num_vertices)
         if self.num_edges == 0:
             return self
         cached = self.__dict__.get("_dedup_cache")

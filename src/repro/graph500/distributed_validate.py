@@ -143,12 +143,13 @@ class DistributedValidator:
         )
         eng._mark(eng.sim_seconds + t_allgather)
 
-        e = self.edges.without_self_loops()
-        du, dv = full_depth[e.src], full_depth[e.dst]
+        # Self-loops (du == dv) can fail neither edge rule: no filter copy.
+        edges = self.edges
+        du, dv = full_depth[edges.src], full_depth[edges.dst]
         if np.any((du >= 0) != (dv >= 0)):
             bad = int(np.flatnonzero((du >= 0) != (dv >= 0))[0])
             raise ValidationError(
-                f"rule 4: edge ({e.src[bad]}, {e.dst[bad]}) straddles the "
+                f"rule 4: edge ({edges.src[bad]}, {edges.dst[bad]}) straddles the "
                 "reached/unreached boundary"
             )
         both = (du >= 0) & (dv >= 0)

@@ -70,21 +70,21 @@ def validate_bfs_result(
             )
 
     # Rule 3: every input edge has both ends within one level, or both
-    # endpoints out of the component.
-    e = edges.without_self_loops()
-    du, dv = depth[e.src], depth[e.dst]
+    # endpoints out of the component. A self-loop has du == dv and can
+    # fail neither this rule nor rule 4, so the raw list is read as is.
+    du, dv = depth[edges.src], depth[edges.dst]
     both_reached = (du >= 0) & (dv >= 0)
     if np.any((du >= 0) != (dv >= 0)):
         bad = int(np.flatnonzero((du >= 0) != (dv >= 0))[0])
         raise ValidationError(
-            f"rule 4: edge ({e.src[bad]}, {e.dst[bad]}) straddles the "
+            f"rule 4: edge ({edges.src[bad]}, {edges.dst[bad]}) straddles the "
             "component boundary — some component vertex was not reached"
         )
     gap = np.abs(du[both_reached] - dv[both_reached])
     if gap.size and gap.max() > 1:
         idx = np.flatnonzero(both_reached)[int(np.argmax(gap))]
         raise ValidationError(
-            f"rule 3: edge ({e.src[idx]}, {e.dst[idx]}) spans "
+            f"rule 3: edge ({edges.src[idx]}, {edges.dst[idx]}) spans "
             f"{abs(int(du[idx]) - int(dv[idx]))} levels"
         )
 

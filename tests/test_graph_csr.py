@@ -1,11 +1,15 @@
 """CSR graph construction and query tests."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.graph import CSRGraph, EdgeList
+from repro.graph import CSRGraph, EdgeList, KroneckerGenerator
+from repro.graph.edgelist import MAX_PAIR_KEY_VERTICES
 from repro.graph.generators import ring_edges, star_edges
 
 
@@ -142,3 +146,90 @@ def test_expand_agrees_with_per_vertex_neighbors(pairs):
         for w in g.neighbors(int(v)):
             expected.append((int(v), int(w)))
     assert sorted(zip(sources.tolist(), targets.tolist())) == sorted(expected)
+
+
+# --- one-sort construction parity -------------------------------------------
+def _oracle_csr(pairs, n, symmetrize, dedup, drop_self_loops):
+    """CSR rows from plain Python pair lists, independent of numpy sorting."""
+    if drop_self_loops:
+        pairs = [(u, v) for u, v in pairs if u != v]
+    if symmetrize:
+        pairs = pairs + [(v, u) for u, v in pairs]
+    pairs = sorted(set(pairs)) if dedup else sorted(pairs)
+    row_ptr = [0] * (n + 1)
+    for u, _ in pairs:
+        row_ptr[u + 1] += 1
+    for v in range(n):
+        row_ptr[v + 1] += row_ptr[v]
+    return row_ptr, [v for _, v in pairs]
+
+
+@st.composite
+def _edge_lists(draw):
+    """(pairs, n): n need not be a power of two; the pairs mix random
+    edges, repeated (multi-)edges and self-loops, and may be empty or leave
+    vertices isolated."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    loops = [(v, v) for v in draw(st.lists(vertex, max_size=10))]
+    return draw(st.permutations(pairs + repeats + loops)), n
+
+
+@pytest.mark.parametrize(
+    "symmetrize,dedup,drop_self_loops", list(itertools.product([True, False], repeat=3))
+)
+@settings(max_examples=60, deadline=None)
+@given(case=_edge_lists())
+@example(case=([], 5))  # empty list
+@example(case=([(0, 0), (3, 3), (3, 3)], 6))  # only self-loops
+@example(case=([(1, 2), (1, 2), (2, 1), (1, 2)], 3))  # multi-edges
+@example(case=([(0, 4), (4, 0), (2, 9)], 11))  # isolated vertices, n = 11
+def test_from_edges_matches_python_oracle(case, symmetrize, dedup, drop_self_loops):
+    pairs, n = case
+    e = EdgeList(
+        np.array([u for u, _ in pairs], dtype=np.int64),
+        np.array([v for _, v in pairs], dtype=np.int64),
+        n,
+    )
+    g = CSRGraph.from_edges(
+        e, symmetrize=symmetrize, dedup=dedup, drop_self_loops=drop_self_loops
+    )
+    row_ptr, col_idx = _oracle_csr(pairs, n, symmetrize, dedup, drop_self_loops)
+    assert g.num_vertices == n
+    assert g.row_ptr.tolist() == row_ptr
+    assert g.col_idx.tolist() == col_idx
+
+
+@pytest.mark.parametrize(
+    "scale,seed,digest",
+    [
+        (12, 1, "4f783a6ffbbb3f7e"),
+        (12, 2, "8d78b910fd2a2336"),
+        (12, 3, "d6e240c88602f347"),
+        (16, 1, "e23937ab72bcee02"),
+    ],
+)
+def test_kronecker_csr_bytes_are_pinned(scale, seed, digest):
+    """The Graph500 search structure is byte-identical to the one the
+    three-sort build (unique + argsort + lexsort) produced."""
+    e = KroneckerGenerator(scale=scale, edge_factor=16, seed=seed).generate()
+    g = CSRGraph.from_edges(e)
+    got = hashlib.sha256(g.row_ptr.tobytes() + g.col_idx.tobytes()).hexdigest()
+    assert got[:16] == digest
+
+
+def test_pair_key_overflow_is_refused():
+    """Past the int64 pair-key limit both key builders raise instead of
+    wrapping; from_edges raises before allocating anything of size n."""
+    e = EdgeList(np.array([0, 5]), np.array([5, 0]), 2**32 + 1)
+    with pytest.raises(ConfigError, match=str(MAX_PAIR_KEY_VERTICES)):
+        CSRGraph.from_edges(e)
+    with pytest.raises(ConfigError, match=str(MAX_PAIR_KEY_VERTICES)):
+        e.deduplicated()
+    # At the limit itself the largest key, n*n - 1, is still exact.
+    top = MAX_PAIR_KEY_VERTICES - 1
+    at_limit = EdgeList(np.array([top, top, 0]), np.array([top, top, 1]), top + 1)
+    dd = at_limit.deduplicated()
+    assert dd.src.tolist() == [top, 0] and dd.dst.tolist() == [top, 1]

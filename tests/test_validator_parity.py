@@ -14,6 +14,7 @@ import pytest
 from repro.errors import ConfigError, ValidationError
 from repro.graph import CSRGraph, EdgeList, KroneckerGenerator
 from repro.graph.generators import grid_edges, ring_edges, star_edges
+from repro.graph500.distributed_validate import DistributedValidator
 from repro.graph500.reference import (
     depths_from_parents,
     reference_bfs,
@@ -267,3 +268,52 @@ def test_dedup_cache_returns_equivalent_list():
     ref = fresh.deduplicated()
     assert np.array_equal(ref.src, first.src)
     assert np.array_equal(ref.dst, first.dst)
+
+
+# --- self-loops in the raw list ------------------------------------------------
+@pytest.mark.parametrize(
+    "pairs,n,parent,message,distributed_message",
+    [
+        # Rule 3: the 0-1-2-3 chain is a valid tree, but edge (3, 0) spans
+        # three levels; vertex 5 is unreached and carries a self-loop.
+        (
+            [(0, 0), (0, 1), (2, 2), (1, 2), (2, 3), (3, 3), (3, 0), (5, 5)],
+            6,
+            [0, 0, 1, 2, -1, -1],
+            "rule 3: edge (3, 0) spans 3 levels",
+            "rule 3: an edge spans more than one level",
+        ),
+        # Rule 4: vertex 3 is joined to the tree but left unreached; its
+        # self-loop sits on the unreached side and straddles nothing.
+        (
+            [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (3, 3), (2, 3)],
+            4,
+            [0, 0, 1, -1],
+            "rule 4: edge (2, 3) straddles the component boundary — some "
+            "component vertex was not reached",
+            "rule 4: edge (2, 3) straddles the reached/unreached boundary",
+        ),
+    ],
+)
+def test_self_loops_do_not_change_edge_rule_messages(
+    pairs, n, parent, message, distributed_message
+):
+    """Both validators read the raw list, self-loops included: a loop has
+    equal depths at both ends, so it can never be the first edge to fail
+    rule 3 or 4, and each rejection names the same edge as the loop-free
+    list does."""
+    edges = EdgeList(
+        np.array([u for u, _ in pairs], dtype=np.int64),
+        np.array([v for _, v in pairs], dtype=np.int64),
+        n,
+    )
+    loop_free = edges.without_self_loops()
+    graph = CSRGraph.from_edges(edges)
+    parent = np.array(parent, dtype=np.int64)
+    for e in (edges, loop_free):
+        with pytest.raises(ValidationError) as exc:
+            validate_bfs_result(graph, e, 0, parent)
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            DistributedValidator(e, 2).validate(0, parent)
+        assert str(exc.value) == distributed_message
