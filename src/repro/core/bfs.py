@@ -1,9 +1,10 @@
 """The distributed BFS driver (Algorithms 1 and 2 on the simulated machine).
 
-One :class:`DistributedBFS` instance binds a graph to a simulated machine:
-it partitions the graph 1-D across nodes, wires a SimMPI cluster, builds
-the per-node pipelines and hub directory, validates the shuffle plan
-(SPM feasibility + deadlock-freedom) and the connection budget — then
+One :class:`DistributedBFS` instance binds a graph to a simulated machine.
+The shared :class:`~repro.core.substrate.Substrate` partitions the graph
+1-D across nodes, wires a SimMPI cluster and the per-node pipelines, and
+routes records; the driver adds the hub directory, validates the shuffle
+plan (SPM feasibility + deadlock-freedom) and the connection budget — then
 ``run(root)`` executes real level-synchronised message-driven traversals.
 
 Timing model recap: module executions and per-message MPE overheads are
@@ -18,32 +19,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from repro.core.batching import GroupLayout
 from repro.core.config import BFSConfig
 from repro.core.hubs import HubDirectory
-from repro.core.pipeline import NodePipeline
 from repro.core.policy import Direction, TraversalPolicy
 from repro.core.runtime import NodeState
 from repro.core.shuffle import ShufflePlan
+from repro.core.substrate import Substrate
 from repro.errors import ConfigError, ReproError, SimulatedCrash
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
-from repro.graph.partition import Partition1D
 from repro.graph500.reference import depths_from_parents
-from repro.machine.node import SunwayNode
 from repro.machine.specs import MachineSpec, TAIHULIGHT
 from repro.network.codec import encoded_size
 from repro.network.collectives import allgather_seconds, allreduce_seconds
-from repro.network.simmpi import Message, SimCluster
 from repro.durability.shards import make_checkpoint_store
 from repro.resilience.channel import ReliableChannel
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.config import ResilienceConfig
-from repro.sim.engine import Engine
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,15 @@ class BFSResult:
         )
 
 
-class DistributedBFS:
-    """A reusable BFS kernel over a fixed graph and simulated machine."""
+class DistributedBFS(Substrate):
+    """A reusable BFS kernel over a fixed graph and simulated machine.
+
+    Records are ``fwd`` (parent, child) pairs bound for the child's owner
+    and ``bwd`` (query, source) pairs bound for the query's owner; the
+    shared :class:`~repro.core.substrate.Substrate` routes both.
+    """
+
+    state_type = NodeState
 
     def __init__(
         self,
@@ -125,70 +127,8 @@ class DistributedBFS:
         graph: CSRGraph | None = None,
         telemetry=None,
     ):
-        self.config = config or BFSConfig()
+        super().__init__(edges, nodes, config, spec, nodes_per_super_node, graph)
         self.resilience = resilience or ResilienceConfig()
-        self.spec = spec
-        if nodes < 1:
-            raise ConfigError(f"need at least one node, got {nodes}")
-        if self.config.partition_mode == "cyclic":
-            raise ConfigError(
-                "the distributed runtime needs contiguous partitions "
-                "(block or balanced)"
-            )
-        self.num_nodes = nodes
-        self.edges = edges
-        # ``graph`` lets callers that already built the symmetrised
-        # deduplicated CSR (the benchmark runner builds it for validation)
-        # share it instead of paying construction twice.
-        if graph is None:
-            graph = CSRGraph.from_edges(edges)
-        elif graph.num_vertices != edges.num_vertices:
-            raise ConfigError(
-                f"prebuilt graph has {graph.num_vertices} vertices, "
-                f"edge list has {edges.num_vertices}"
-            )
-        self.graph = graph
-        n = self.graph.num_vertices
-        if nodes > n:
-            raise ConfigError(f"{nodes} nodes for only {n} vertices")
-
-        # --- layout: partition, owners, groups --------------------------------
-        weights = (
-            self.graph.degrees()
-            if self.config.partition_mode == "balanced"
-            else None
-        )
-        self.partition = Partition1D(
-            n, nodes, mode=self.config.partition_mode, edge_weights=weights
-        )
-        self.owner = self.partition.owner(np.arange(n, dtype=np.int64))
-        nps = (
-            nodes_per_super_node
-            if nodes_per_super_node is not None
-            else spec.taihulight.nodes_per_super_node
-        )
-        width = self.config.group_width or nps
-        self.groups = GroupLayout(nodes, min(width, nodes))
-
-        # --- machine: engine, network, nodes ------------------------------------
-        self.engine = Engine()
-        self.cluster = SimCluster(
-            self.engine,
-            nodes,
-            spec=spec,
-            nodes_per_super_node=nps,
-            track_connections=self.config.track_connections,
-        )
-        self.machines = [SunwayNode(i, spec) for i in range(nodes)]
-        self.states: list[NodeState] = []
-        for i in range(nodes):
-            lo, hi = self.partition.part_range(i)
-            state = NodeState(
-                i, lo, hi, self.graph.row_slice(lo, hi),
-                NodePipeline(self.machines[i], self.config),
-            )
-            self.states.append(state)
-            self.cluster.register(i, self._make_handler(state))
 
         # --- feasibility: SPM staging + connection budget ------------------------
         if self.config.use_cpe_clusters:
@@ -198,15 +138,11 @@ class DistributedBFS:
                 else nodes
             )
             self.shuffle_plan = ShufflePlan.from_config(self.config, max(1, dests))
-        else:
-            self.shuffle_plan = None
 
         # --- runtime sanitizers (opt-in; repro.sanitizers.runtime) --------------
-        #: SPM write-conflict detector, consulted per shuffle in
-        #: ``_send_buckets``; installed after the reliable channel below via
-        #: ``config.sanitize``, or post-construction by
-        #: ``Graph500Runner(sanitize=True)``.
-        self.spm_sanitizer = None
+        # ``spm_sanitizer`` (the substrate's SPM write-conflict detector) is
+        # installed after the reliable channel below via ``config.sanitize``,
+        # or post-construction by ``Graph500Runner(sanitize=True)``.
         #: Message-mutated-after-send detector on the cluster's send core.
         self.message_sanitizer = None
         if self.config.track_connections:
@@ -224,7 +160,7 @@ class DistributedBFS:
         )
         self.hubs: HubDirectory | None = None
         if self.config.use_hub_prefetch:
-            per_node = n / nodes
+            per_node = self.graph.num_vertices / nodes
             cap = max(1, int(per_node * self.config.hub_fraction_cap))
             hubs_per_node = min(
                 max(self.config.hub_count_topdown, self.config.hub_count_bottomup),
@@ -261,8 +197,6 @@ class DistributedBFS:
         self.construction_seconds = self._estimate_construction_time()
 
         # run-scoped scratch
-        self._t_max = 0.0
-        self._records_sent = 0
         self._hub_settled = 0
         self._recoveries = 0
         self._checkpoint_seconds = 0.0
@@ -274,10 +208,8 @@ class DistributedBFS:
         self._peer_cache: dict[int, list[int]] = {}
 
         # --- observability -------------------------------------------------------
-        #: Optional :class:`repro.telemetry.Telemetry`; set by
-        #: ``Telemetry.attach_kernel`` (a disabled telemetry leaves it None,
-        #: so every hook below costs one attribute check).
-        self.telemetry = None
+        # ``self.telemetry`` is set by ``Telemetry.attach_kernel`` (a disabled
+        # telemetry leaves it None, so every hook costs one attribute check).
         if telemetry is not None:
             telemetry.attach_kernel(self)
 
@@ -309,11 +241,6 @@ class DistributedBFS:
         ship = per_node_bytes / t.nic_effective_bandwidth
         build = 2 * per_node_bytes / self.spec.core_group.cluster_dma_bandwidth
         return ship + build
-
-    # ------------------------------------------------------------- time marks --
-    def _mark(self, t: float) -> None:
-        if t > self._t_max:
-            self._t_max = t
 
     # ----------------------------------------------------------- diagnostics --
     def utilization(self) -> dict[str, float]:
@@ -361,208 +288,37 @@ class DistributedBFS:
         return {k: float(np.mean(v)) for k, v in sorted(sums.items())}
 
     # ------------------------------------------------------------ message I/O --
-    def _make_handler(self, state: NodeState):
-        # functools.partial rather than a closure: it forwards to
-        # _on_message without an extra Python frame per message.
-        return partial(self._on_message, state)
-
-    def _on_message(self, state: NodeState, msg: Message) -> None:
-        ready = state.pipeline.submit_recv(msg.arrival_time)
-        if ready > self._t_max:  # _mark, inlined on the per-message path
-            self._t_max = ready
-        if msg.tag == "eol":
-            return
-        u, v = msg.payload
-        nbytes = msg.nbytes
-        if msg.tag == "fwd":
-            execution = state.pipeline.submit_module(ready, "forward_handler", nbytes)
-            self._mark(execution.finish)
+    def _apply(self, state: NodeState, execution, kind, u, v) -> None:
+        if kind == "fwd":
             state.apply_forward(u, v)
-        elif msg.tag == "bwd":
-            execution = state.pipeline.submit_module(ready, "backward_handler", nbytes)
-            self._mark(execution.finish)
+        else:
             mu, mv = state.match_backward(u, v)
             if len(mu):
-                self._route_records(state, execution, "fwd", mu, mv, self.owner[mv])
-        elif msg.tag == "fwd_relay":
-            execution = state.pipeline.submit_module(ready, "forward_relay", nbytes)
-            self._mark(execution.finish)
-            self._route_records(
-                state, execution, "fwd", u, v, self.owner[v], relay=False
-            )
-        elif msg.tag == "bwd_relay":
-            execution = state.pipeline.submit_module(ready, "backward_relay", nbytes)
-            self._mark(execution.finish)
-            self._route_records(
-                state, execution, "bwd", u, v, self.owner[u], relay=False
-            )
-        else:  # pragma: no cover - defensive
-            raise ReproError(f"unknown message tag {msg.tag!r}")
+                self.route(state, execution, "fwd", mu, mv, self.owner[mv])
 
-    def _cluster_send_batch(
-        self,
-        src: int,
-        dests: np.ndarray,
-        tag: str,
-        nbytes: np.ndarray,
-        payloads=None,
-        at_times=None,
-    ) -> None:
+    def _post(self, src, dests, tag, nbytes, payloads=None, at_times=None) -> None:
         """All driver traffic funnels through here: the reliable channel
         when enabled, the raw cluster otherwise. ``cluster.send_batch`` is
         looked up dynamically so fault injectors installed after
         construction stay on the path."""
-        if self.channel is not None:
-            self.channel.send_batch(
-                src, dests, tag, nbytes, payloads=payloads, at_times=at_times
-            )
-        else:
-            self.cluster.send_batch(
-                src, dests, tag, nbytes, payloads=payloads, at_times=at_times
-            )
+        sender = self.channel if self.channel is not None else self.cluster
+        sender.send_batch(src, dests, tag, nbytes, payloads=payloads, at_times=at_times)
 
     def _message_bytes(self, n_records: int) -> int:
         payload = n_records * self.config.record_bytes / self.config.compression_ratio
         return self.config.header_bytes + int(payload)
 
-    def _send_buckets(
-        self,
-        state: NodeState,
-        execution,
-        tag: str,
-        u: np.ndarray,
-        v: np.ndarray,
-        first_hops: np.ndarray,
-    ) -> None:
-        """Group records by first hop and inject one message per hop,
-        pipelined against the producing module's progress."""
-        if len(first_hops) == 0:
-            return
-        if first_hops[0] == first_hops[-1] and np.all(first_hops == first_hops[0]):
-            # Single destination (the common case under relay grouping):
-            # the stable argsort would be the identity, so skip it and emit
-            # the one bucket directly.
-            hops_sorted = first_hops
-            starts = np.array([0], dtype=np.int64)
-            stops = np.array([len(first_hops)], dtype=np.int64)
-        else:
-            order = np.argsort(first_hops, kind="stable")
-            hops_sorted = first_hops[order]
-            u, v = u[order], v[order]
-            boundaries = np.flatnonzero(np.diff(hops_sorted)) + 1
-            starts = np.concatenate(([0], boundaries))
-            stops = np.concatenate((boundaries, [len(hops_sorted)]))
-        n_buckets = len(starts)
-        spm_san = self.spm_sanitizer
-        if spm_san is not None and self.shuffle_plan is not None:
-            # One module execution = one shuffle phase: its consumer CPEs
-            # must write disjoint per-destination regions (Section 4.3's
-            # "no contention, no atomics", checked live).
-            spm_san.check_bucket_writes(
-                self.shuffle_plan,
-                hops_sorted[starts],
-                phase=f"node{state.node_id}:{tag}@{execution.start:.9e}",
-            )
-        starts_l, stops_l = starts.tolist(), stops.tolist()
+    def _bucket_bytes(self, u, v, starts, stops) -> list[int]:
         cfg = self.config
         if cfg.use_codec:
-            nbytes_l = [
+            return [
                 cfg.header_bytes + encoded_size(u[a:b], v[a:b])
-                for a, b in zip(starts_l, stops_l)
+                for a, b in zip(starts, stops)
             ]
-        else:
-            # The same ops as _message_bytes per bucket: exact int
-            # product, one float division, truncation.
-            hb, rb = cfg.header_bytes, cfg.record_bytes
-            ratio = cfg.compression_ratio
-            nbytes_l = [
-                hb + int((b - a) * rb / ratio)
-                for a, b in zip(starts_l, stops_l)
-            ]
-        if n_buckets == 1:
-            # ready_fractions(1) without the array round trip — the
-            # identical float expression for fraction 1.0.
-            readies_l = [
-                execution.start + 1.0 * (execution.finish - execution.start)
-            ]
-        else:
-            readies_l = execution.ready_fractions(n_buckets).tolist()
-        send_ats = state.pipeline.submit_send_many(readies_l)
-        self._mark(send_ats[-1])
-        self._cluster_send_batch(
-            state.node_id,
-            hops_sorted[starts].tolist(),
-            tag,
-            nbytes_l,
-            [(u[a:b], v[a:b]) for a, b in zip(starts_l, stops_l)],
-            send_ats,
-        )
-        self._records_sent += len(first_hops)
-        tel = self.telemetry
-        if tel is not None:
-            tel.spans.record(
-                "message-batch", "batch", readies_l[0], send_ats[-1],
-                parent=tel.current, tag=tag, buckets=n_buckets,
-                records=len(first_hops), node=state.node_id,
-            )
-
-    def _route_records(
-        self,
-        state: NodeState,
-        execution,
-        kind: str,  # "fwd" or "bwd"
-        u: np.ndarray,
-        v: np.ndarray,
-        dest_nodes: np.ndarray,
-        relay: bool = True,
-    ) -> None:
-        """Deliver records to their owner nodes — locally, directly, or via
-        the group relay, per configuration. A relay module forwarding its
-        output passes ``relay=False``: final hops are intra-group by
-        construction."""
-        me = state.node_id
-        local = dest_nodes == me
-        n_local = int(np.count_nonzero(local))
-        if n_local:
-            lu, lv = u[local], v[local]
-            nbytes = self._message_bytes(n_local)
-            module = "forward_handler" if kind == "fwd" else "backward_handler"
-            local_exec = state.pipeline.submit_module(execution.finish, module, nbytes)
-            self._mark(local_exec.finish)
-            if kind == "fwd":
-                state.apply_forward(lu, lv)
-            else:
-                mu, mv = state.match_backward(lu, lv)
-                if len(mu):
-                    self._route_records(
-                        state, local_exec, "fwd", mu, mv, self.owner[mv]
-                    )
-        if n_local == len(dest_nodes):
-            return
-        if n_local:
-            remote = ~local
-            ru, rv, rdest = u[remote], v[remote], dest_nodes[remote]
-        else:
-            ru, rv, rdest = u, v, dest_nodes
-        if not (relay and self.config.use_relay):
-            self._send_buckets(state, execution, kind, ru, rv, rdest)
-            return
-        relays = self.groups.relay_vectorised(me, rdest)
-        # Records whose relay is this node (intra-group targets) or is the
-        # destination itself skip straight to stage two.
-        straight = (relays == me) | (relays == rdest)
-        n_straight = int(np.count_nonzero(straight))
-        if n_straight == len(rdest):
-            self._send_buckets(state, execution, kind, ru, rv, rdest)
-            return
-        if n_straight:
-            self._send_buckets(
-                state, execution, kind, ru[straight], rv[straight], rdest[straight]
-            )
-        hop = ~straight
-        self._send_buckets(
-            state, execution, f"{kind}_relay", ru[hop], rv[hop], relays[hop]
-        )
+        # The same ops as _message_bytes per bucket: exact int product, one
+        # float division, truncation.
+        hb, rb, ratio = cfg.header_bytes, cfg.record_bytes, cfg.compression_ratio
+        return [hb + int((b - a) * rb / ratio) for a, b in zip(starts, stops)]
 
     def _send_termination_markers(self, state: NodeState, t_ready: float) -> None:
         """Per-level end-of-transmission indicators (Section 3.3: "at least
@@ -589,7 +345,7 @@ class DistributedBFS:
             return
         send_ats = state.pipeline.submit_send_many([t_ready] * len(peers))
         self._mark(send_ats[-1])
-        self._cluster_send_batch(
+        self._post(
             state.node_id, peers, "eol", [nbytes] * len(peers), None, send_ats
         )
 
@@ -640,7 +396,7 @@ class DistributedBFS:
             execution = state.pipeline.submit_module(t0, "forward_generator", nbytes)
             self._mark(execution.finish)
             if len(targets):
-                self._route_records(
+                self.route(
                     state, execution, "fwd", sources, targets, self.owner[targets]
                 )
             self._send_termination_markers(state, execution.finish)
@@ -673,7 +429,7 @@ class DistributedBFS:
                     t_start, "backward_generator", nbytes
                 )
                 self._mark(execution.finish)
-                self._route_records(
+                self.route(
                     state, execution, "bwd", u_targets, v_sources,
                     self.owner[u_targets],
                 )
@@ -858,7 +614,7 @@ class DistributedBFS:
             )
             tel.push(root_span)
         self._t_max = t_run_start
-        self._records_sent = 0
+        self.records_sent = 0
         self._hub_settled = 0
         self._recoveries = 0
         self._checkpoint_seconds = 0.0
@@ -908,7 +664,7 @@ class DistributedBFS:
                     frontier=n_f,
                 )
                 tel.push(level_span)
-            records_before_level = self._records_sent
+            records_before_level = self.records_sent
             hub_before = self._hub_settled
             msgs_before_level = self.cluster.stats.value("messages")
 
@@ -926,7 +682,7 @@ class DistributedBFS:
                     direction=direction.value,
                     frontier_vertices=n_f,
                     frontier_edges=m_f,
-                    records_sent=self._records_sent - records_before_level,
+                    records_sent=self.records_sent - records_before_level,
                     messages=int(
                         self.cluster.stats.value("messages") - msgs_before_level
                     ),
@@ -980,7 +736,7 @@ class DistributedBFS:
         parent = np.concatenate([s.parent for s in self.states])
         sim_seconds = self._t_max - t_run_start
         stats = {
-            "records_sent": float(self._records_sent),
+            "records_sent": float(self.records_sent),
             "messages": self.cluster.stats.value("messages") - msgs_before,
             "bytes": self.cluster.stats.value("bytes") - bytes_before,
             "hub_settled": float(self._hub_settled),

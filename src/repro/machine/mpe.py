@@ -29,14 +29,6 @@ class Mpe:
         """Streaming ``nbytes`` through the MPE (memory-bandwidth bound)."""
         return self.dma.mpe_transfer_time(nbytes, chunk_bytes)
 
-    def notify_cluster_time(self) -> float:
-        """MPE -> CPE-cluster notification via a polled memory flag.
-
-        One write by the MPE, one polled read by the representative CPE and
-        an in-cluster register broadcast: ~4 main-memory latencies end to end.
-        """
-        return 4 * self.spec.core_group.mpe.memory_latency
-
     def interrupt_time(self) -> float:
         """What a hardware interrupt *would* cost (why polling is used)."""
         return self.spec.core_group.mpe.interrupt_latency

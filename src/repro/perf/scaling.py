@@ -82,12 +82,6 @@ class ScalingModel:
             for n in node_counts
         ]
 
-    def fig12_all(self, node_counts=FIG12_NODE_COUNTS) -> dict[float, list[PerfPoint]]:
-        return {
-            vpn: self.fig12_series(vpn, node_counts)
-            for vpn in FIG12_VERTICES_PER_NODE
-        }
-
     # ------------------------------------------------------------- strong scaling --
     def strong_scaling(
         self,

@@ -80,10 +80,13 @@ class CatalogEntry:
         self.pins = 0
         self.evicted = False
         self.executes = 0
-        #: BFS kernels are reusable across roots (``run(root)`` is
-        #: history-independent — the parallel-roots parity matrix pins
-        #: that), so they are cached per variant; each carries a lock
-        #: because one kernel must not run two roots concurrently.
+        #: BFS kernels are reusable across roots — a root's parents, levels
+        #: and traversed edges do not depend on which roots ran before it —
+        #: so they are cached per variant; each carries a lock because one
+        #: kernel must not run two roots concurrently. ``sim_seconds`` does
+        #: depend on history, to round-off: ``run`` reports the difference
+        #: of two absolute clock readings and the clock carries over from
+        #: earlier roots (the same root drifts by up to 3e-8 s).
         self._bfs_kernels: dict[str, tuple[object, NamedLock]] = {}
         self._kernel_lock = NamedLock("CatalogEntry._kernel_lock")
 

@@ -24,6 +24,7 @@ failed ``==`` long before it showed up as a wrong traversal.
 
 import hashlib
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -208,6 +209,148 @@ def test_traversal_parity_under_fault_injector():
     counts = (injector.matched, injector.dropped, injector.duplicated)
     digest = _digest([result], bfs.cluster.stats.snapshot(), counts)
     assert digest == GOLDEN["fault-injector"]
+
+
+# --- superstep-engine golden digests: the algorithms and the validator -------
+#: One digest per (algorithm, machine case), recorded from the engine that
+#: still built its own partition, cluster and relay routing — before it and
+#: the BFS driver shared one record path. The ``relay-cpe``/``relay-mpe``
+#: cases (four super nodes of four) send ``alg_relay`` records through the
+#: relay's stage two.
+ALGO_GOLDEN = {
+    ('pagerank', 'direct-cpe'):
+        'efd62a6fe2b33dd80ff4bde3abf947d80c1f82fd6ba34506145fd96788e95069',
+    ('pagerank', 'relay-cpe'):
+        '3c1e758c520a6256d20ace09952f7b417e3e1d1f752cba6ea6728d7a35873e13',
+    ('pagerank', 'relay-mpe'):
+        'b79d7308e17c217973ad9c955187bac3be5e579aff49269bac685dbe3be21bc2',
+    ('wcc', 'direct-cpe'):
+        'd4d16ec8fe44066cf27e3b1002f0ee88036f736d214dc3e8ca237d1d4c41530e',
+    ('wcc', 'relay-cpe'):
+        '1e70b98463a5470c556d69e6b9ec3b76033e7167bd9bed98bd97efa34191030b',
+    ('wcc', 'relay-mpe'):
+        '8240aeac6427a780ce133a7154c77f310384d138ab891a6452e3976af4e20258',
+    ('sssp', 'direct-cpe'):
+        'cb99c1e3cd38c81aae8ed0c47252fbc7c0808465e9a5d4755a5a7129e005ec77',
+    ('sssp', 'relay-cpe'):
+        '35b9ae7494142db01a91e9ac690408899cc37a1a8fd0394e04238cad77756412',
+    ('sssp', 'relay-mpe'):
+        'ef8a9c69d933ab391adfbf032ec2ef3dbfb32d63830a17f9b3201f435f0dc954',
+    ('delta-stepping', 'direct-cpe'):
+        '5a80b729508919bc268544a33afc35d03b4515fd2193b1d5acb476de47f767e3',
+    ('delta-stepping', 'relay-cpe'):
+        'f36e8441a1d935f9c6a95b57408413799d561f9a12c4d086ec20f1e24de38e95',
+    ('delta-stepping', 'relay-mpe'):
+        'dc643040860ee5f223a3dea34cff6b7c6fe65a20dda9c67cba43db1c0eac59ce',
+    ('kcore', 'direct-cpe'):
+        '0a5d6e77fbb76fe7660f8d07b2cb3067575ab45d7df5d64eb24cfea4f94c1cba',
+    ('kcore', 'relay-cpe'):
+        '1a44b7d0129ee11ef5ae384630b74efa7c9ef0dcd9a701e2f44d6bbadb747a4c',
+    ('kcore', 'relay-mpe'):
+        '1a44b7d0129ee11ef5ae384630b74efa7c9ef0dcd9a701e2f44d6bbadb747a4c',
+    ('validator', 'direct-cpe'):
+        'b1d80b6b263776bac48cc66a26a14d19ffacc7ba645e0a5af3860815b575d826',
+    ('validator', 'relay-cpe'):
+        '370947e803a2556e56f7413603a362de5a9899090379ee47f9ececfeb0411e8a',
+    ('validator', 'relay-mpe'):
+        '12541aeb09ff7d14ab12bafb39411ee6ddd7b64a7962fd11a3cbcd9421a3f571',
+}
+
+ALGO_CASES = {
+    "relay-cpe": ("relay-cpe", 4),
+    "direct-cpe": ("direct-cpe", None),
+    "relay-mpe": ("relay-mpe", 4),
+}
+
+
+def _run_algorithm(name, engine_kwargs):
+    from repro.algorithms import (
+        DistributedDeltaStepping,
+        DistributedKCore,
+        DistributedPageRank,
+        DistributedSSSP,
+        DistributedWCC,
+    )
+    from repro.graph.csr import CSRGraph
+    from repro.graph500.distributed_validate import DistributedValidator
+    from repro.graph500.reference import reference_bfs
+
+    edges, root = _edges(), 1
+    if name == "pagerank":
+        algo = DistributedPageRank(edges, 16, **engine_kwargs)
+        result = algo.run()
+        arrays = (result.ranks,)
+    elif name == "wcc":
+        algo = DistributedWCC(edges, 16, **engine_kwargs)
+        result = algo.run()
+        arrays = (result.labels,)
+    elif name == "sssp":
+        algo = DistributedSSSP(edges, 16, **engine_kwargs)
+        result = algo.run(root)
+        arrays = (result.dist,)
+    elif name == "delta-stepping":
+        algo = DistributedDeltaStepping(edges, 16, **engine_kwargs)
+        result = algo.run(root)
+        arrays = (result.dist,)
+    elif name == "kcore":
+        algo = DistributedKCore(edges, 16, **engine_kwargs)
+        result = algo.run(3)
+        arrays = (result.in_core,)
+    else:
+        algo = DistributedValidator(edges, 16, **engine_kwargs)
+        parent = reference_bfs(CSRGraph.from_edges(edges), root)
+        result = algo.validate(root, parent)
+        arrays = (result.depth,)
+    return algo.engine, result, arrays
+
+
+def _algorithm_digest(name, case):
+    variant, nps = ALGO_CASES[case]
+    eng, result, arrays = _run_algorithm(
+        name, {"config": variant_config(variant), "nodes_per_super_node": nps}
+    )
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr((
+        result.supersteps,
+        repr(float(result.sim_seconds)),
+        _plain(getattr(result, "stats", {})),
+        _plain(eng.cluster.stats.snapshot()),
+        [_plain(part.pipeline.busy_times()) for part in eng.parts],
+    )).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(ALGO_CASES))
+@pytest.mark.parametrize(
+    "name", ["pagerank", "wcc", "sssp", "delta-stepping", "kcore", "validator"]
+)
+def test_superstep_engine_parity(name, case):
+    assert _algorithm_digest(name, case) == ALGO_GOLDEN[(name, case)]
+
+
+def test_superstep_engine_relay_case_takes_the_relay_hop():
+    """The relay digests cover stage two: PageRank under ``relay-cpe`` on
+    four super nodes delivers both owner-bound and relay-hop records."""
+    from collections import Counter
+
+    from repro.algorithms import DistributedPageRank
+
+    algo = DistributedPageRank(
+        _edges(), 16, config=variant_config("relay-cpe"), nodes_per_super_node=4
+    )
+    cluster = algo.engine.cluster
+    tags = Counter()
+
+    def counting(handler, msg):
+        tags[msg.tag] += 1
+        handler(msg)
+
+    for rank, handler in list(cluster._handlers.items()):
+        cluster._handlers[rank] = partial(counting, handler)
+    algo.run()
+    assert tags == {"alg": 4800, "alg_relay": 960}
 
 
 # --- cluster-level parity: send_batch vs N sends -----------------------------
