@@ -106,13 +106,16 @@ class GroupLayout:
         """Stage-two targets: every other node in the group."""
         return [p for p in self.group_members(self.group_of(node)) if p != node]
 
-    def relay_connections(self, node: int) -> int:
-        """Distinct peers under relay routing: <= (N-1) + (M-1)."""
+    def peers(self, node: int) -> list[int]:
+        """Every node ``node`` talks to, ascending: its column and group
+        mates. In the one-group layout (width P) that is everyone else."""
         # dict.fromkeys: order-stable dedup (determinism lint REP104 —
         # hash-ordered set unions are banned in sim-core modules).
-        return len(
-            dict.fromkeys(self.column_peers(node) + self.row_peers(node))
-        )
+        return sorted(dict.fromkeys(self.column_peers(node) + self.row_peers(node)))
+
+    def relay_connections(self, node: int) -> int:
+        """Distinct peers: <= (N-1) + (M-1), so P-1 in the one-group layout."""
+        return len(self.peers(node))
 
     def direct_connections(self) -> int:
         """Distinct peers under direct routing: everyone."""

@@ -132,12 +132,10 @@ class DistributedBFS(Substrate):
 
         # --- feasibility: SPM staging + connection budget ------------------------
         if self.config.use_cpe_clusters:
-            dests = (
-                max(self.groups.num_groups, self.groups.width)
-                if self.config.use_relay
-                else nodes
-            )
-            self.shuffle_plan = ShufflePlan.from_config(self.config, max(1, dests))
+            # One staging region per first hop: a relay target per group, or
+            # a group mate (in the one-group direct layout, every node).
+            dests = max(self.groups.num_groups, self.groups.width)
+            self.shuffle_plan = ShufflePlan.from_config(self.config, dests)
 
         # --- runtime sanitizers (opt-in; repro.sanitizers.runtime) --------------
         # ``spm_sanitizer`` (the substrate's SPM write-conflict detector) is
@@ -147,12 +145,7 @@ class DistributedBFS(Substrate):
         self.message_sanitizer = None
         if self.config.track_connections:
             for i in range(nodes):
-                required = (
-                    self.groups.relay_connections(i)
-                    if self.config.use_relay
-                    else self.groups.direct_connections()
-                )
-                self.cluster.connections[i].require(required)
+                self.cluster.connections[i].require(self.groups.relay_connections(i))
 
         # --- hubs ------------------------------------------------------------------
         self.policy = TraversalPolicy(
@@ -204,8 +197,8 @@ class DistributedBFS(Substrate):
         self._scrub_seconds = 0.0
         #: Per-node transfer size of the last save (what scrub repairs ship).
         self._save_bytes = 0
-        #: node id -> its termination-marker peer list (config-fixed).
-        self._peer_cache: dict[int, list[int]] = {}
+        #: node id -> its termination-marker peers (column and group mates).
+        self._peers = [self.groups.peers(i) for i in range(nodes)]
 
         # --- observability -------------------------------------------------------
         # ``self.telemetry`` is set by ``Telemetry.attach_kernel`` (a disabled
@@ -322,32 +315,16 @@ class DistributedBFS(Substrate):
 
     def _send_termination_markers(self, state: NodeState, t_ready: float) -> None:
         """Per-level end-of-transmission indicators (Section 3.3: "at least
-        one message transfer... for each pair of nodes"). Relay mode only
-        touches column + group peers — the N+M-2 connection set."""
-        if self.num_nodes == 1:
-            return
-        peers = self._peer_cache.get(state.node_id)
-        if peers is None:
-            if self.config.use_relay:
-                # Deterministic union: concatenate + dict.fromkeys dedup
-                # keeps every step insertion-ordered (no hash-order hop).
-                peers = sorted(
-                    dict.fromkeys(
-                        self.groups.column_peers(state.node_id)
-                        + self.groups.row_peers(state.node_id)
-                    )
-                )
-            else:
-                peers = [p for p in range(self.num_nodes) if p != state.node_id]
-            self._peer_cache[state.node_id] = peers
-        nbytes = self.config.header_bytes
-        if not peers:
-            return
-        send_ats = state.pipeline.submit_send_many([t_ready] * len(peers))
-        self._mark(send_ats[-1])
-        self._post(
-            state.node_id, peers, "eol", [nbytes] * len(peers), None, send_ats
-        )
+        one message transfer... for each pair of nodes"), to the column and
+        group mates — the N+M-2 connection set, everyone under direct
+        routing's one group."""
+        peers = self._peers[state.node_id]
+        if peers:
+            n = len(peers)
+            self._inject(
+                state, peers, "eol", [self.config.header_bytes] * n, None,
+                [t_ready] * n,
+            )
 
     # -------------------------------------------------------------- collectives --
     def _allreduce_time(self) -> float:

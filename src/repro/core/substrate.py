@@ -1,13 +1,19 @@
-"""The record path shared by the BFS driver and the superstep engine.
+"""The record path of the BFS driver, superstep engine and 2-D comparator.
 
 Section 8: BFS's core operation — shuffling dynamically generated records
 to their owners — is also that of SSSP, WCC, PageRank and k-core.
 :class:`Substrate` is that operation, written once: the machine wiring
-(1-D partition and owner map, relay groups, engine, SimMPI cluster, one
+(1-D partition and owner map, group layout, engine, SimMPI cluster, one
 :class:`~repro.core.pipeline.NodePipeline` per node), :meth:`route`
 (local, straight to the owner, or via the group relay, which forwards
 what it receives at once) and :meth:`_send_buckets` (one message per first
 hop, pipelined against the producing module).
+
+The :class:`~repro.core.batching.GroupLayout` is the routing plan, and the
+constructor is the one reader of ``config.use_relay``: relay routing lays
+the nodes out as groups of a super node's width, direct routing as one
+group of all P nodes, where every destination is a group mate and no
+record takes the relay hop.
 
 Records travel as two parallel arrays ``(a, b)``; their kind picks the
 modules and the owner key (:data:`KINDS`), and the wire tag is the kind,
@@ -42,6 +48,8 @@ KINDS = {
     "fwd": ("forward_handler", "forward_relay", 1),  # (parent, child)
     "bwd": ("backward_handler", "backward_relay", 0),  # (query, source)
     "alg": ("forward_handler", "forward_relay", 0),  # (target, value)
+    # 2-D expand: (frontier vertices, None) to a column mate; never relayed.
+    "frontier": ("forward_handler", "forward_relay", 0),
 }
 
 #: Wire tag -> (module run on arrival, record kind, owner-key index for a
@@ -107,7 +115,9 @@ class Substrate:
             if nodes_per_super_node is not None
             else spec.taihulight.nodes_per_super_node
         )
-        self.groups = GroupLayout(nodes, min(self.config.group_width or nps, nodes))
+        # The one routing decision (module docstring): direct = one group.
+        relay_width = min(self.config.group_width or nps, nodes)
+        self.groups = GroupLayout(nodes, relay_width if self.config.use_relay else nodes)
 
         # --- machine: engine, network, per-node state ---------------------
         self.engine = Engine()
@@ -178,15 +188,14 @@ class Substrate:
         if slot is None:
             self._apply(state, execution, kind, a, b)
         else:
-            # Stage two at a relay: final hops are intra-group.
+            # Stage two at a relay: every destination is a group mate, so
+            # route sends each record straight to its owner.
             key = b if slot else a
-            self.route(state, execution, kind, a, b, self.owner[key], relay=False)
+            self.route(state, execution, kind, a, b, self.owner[key])
 
-    def route(self, state, execution, kind: str, a, b, dest, relay=True) -> None:
-        """Deliver records to their owner nodes ``dest`` — locally,
-        directly, or via the group relay, per configuration. A relay module
-        forwarding its output passes ``relay=False``: final hops are
-        intra-group by construction."""
+    def route(self, state, execution, kind: str, a, b, dest) -> None:
+        """Deliver records to their owner nodes ``dest``: locally, straight
+        to a group mate or a same-column owner, or via the group relay."""
         me = state.node_id
         local = dest == me
         n_local = int(np.count_nonzero(local))
@@ -201,9 +210,6 @@ class Substrate:
         if n_local:
             remote = ~local
             a, b, dest = a[remote], b[remote], dest[remote]
-        if not (relay and self.config.use_relay):
-            self._send_buckets(state, execution, kind, a, b, dest)
-            return
         relays = self.groups.relay_vectorised(me, dest)
         # Records whose relay is this node (intra-group targets) or is the
         # destination itself skip straight to stage two.
@@ -259,11 +265,9 @@ class Substrate:
             readies_l = [execution.start + 1.0 * (execution.finish - execution.start)]
         else:
             readies_l = execution.ready_fractions(n_buckets).tolist()
-        send_ats = state.pipeline.submit_send_many(readies_l)
-        self._mark(send_ats[-1])
         payloads = [(a[lo:hi], b[lo:hi]) for lo, hi in zip(starts_l, stops_l)]
         dests = hops_sorted[starts].tolist()
-        self._post(state.node_id, dests, tag, nbytes_l, payloads, send_ats)
+        send_ats = self._inject(state, dests, tag, nbytes_l, payloads, readies_l)
         self.records_sent += len(first_hops)
         tel = self.telemetry
         if tel is not None:
@@ -272,3 +276,11 @@ class Substrate:
                 parent=tel.current, tag=tag, buckets=n_buckets,
                 records=len(first_hops), node=state.node_id,
             )
+
+    def _inject(self, state, dests, tag, nbytes, payloads, readies) -> list[float]:
+        """Charge the sender's M0 once per message, ready at ``readies``,
+        and hand the messages to the fabric; returns their injection times."""
+        send_ats = state.pipeline.submit_send_many(readies)
+        self._mark(send_ats[-1])
+        self._post(state.node_id, dests, tag, nbytes, payloads, send_ats)
+        return send_ats

@@ -29,7 +29,6 @@ from repro.machine.specs import (
 from repro.machine.dma import DmaModel
 from repro.machine.spm import Spm
 from repro.machine.mesh import MeshTopology, RegisterMesh, Route
-from repro.machine.mpe import Mpe
 from repro.machine.cluster import CpeCluster
 from repro.machine.node import SunwayNode
 from repro.machine.atomics import AtomicsModel
@@ -47,7 +46,6 @@ __all__ = [
     "MeshTopology",
     "RegisterMesh",
     "Route",
-    "Mpe",
     "CpeCluster",
     "SunwayNode",
     "AtomicsModel",

@@ -14,7 +14,6 @@ from repro.errors import ConfigError, SimulatedCrash
 from repro.machine.atomics import AtomicsModel
 from repro.machine.cluster import CpeCluster
 from repro.machine.dma import DmaModel
-from repro.machine.mpe import Mpe
 from repro.machine.specs import MachineSpec, TAIHULIGHT
 
 
@@ -59,7 +58,6 @@ class SunwayNode:
         self.node_id = node_id
         self.spec = spec
         self.dma = DmaModel(spec)
-        self.mpe = Mpe(spec, self.dma)
         self.cluster = CpeCluster(spec, self.dma)
         self.atomics = AtomicsModel(spec)
         self.memory = MemoryBudget(spec.node.memory_bytes, node_id)

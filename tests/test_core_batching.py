@@ -57,6 +57,12 @@ def test_relay_connections_bound_holds_every_node():
     g = GroupLayout(64, 8)
     for node in range(64):
         assert g.relay_connections(node) <= 8 + 8 - 1
+    # The one-group layout is direct routing: every other node is a group
+    # mate, so the relay connection set is the direct one.
+    one = GroupLayout(64, 64)
+    for node in range(64):
+        assert one.peers(node) == [p for p in range(64) if p != node]
+        assert one.relay_connections(node) == one.direct_connections()
 
 
 def test_ragged_final_group():

@@ -65,6 +65,12 @@ GOLDEN = {
         "8e58a161adc2c4e78acbcc07d85a6bf22b85cb2f65d66c9bf63aef037768525a",
     "relay-multigroup":
         "34e42ab3cfd8bf24239beaf696a15068feb6a85e4bfe07b132df033d5a823e64",
+    # Recorded while direct routing still bypassed the group layout and a
+    # relay's stage two still passed ``relay=False`` to ``route``.
+    "direct-multigroup":
+        "e9905c65d96ddf8b6afd6ce1391e9ff86573b58864cf0eadb4f80cd32836a18d",
+    "relay-ragged":
+        "6a8c24bb4de24a140b0befbca48e76a50b27af7794680a4ad4d65e2d39abf6de",
     "codec":
         "2ea4e45ec393d11cffd25ac9aebf5733448a36d1af9210bc9ff7becbb538882d",
     "single-node":
@@ -147,6 +153,19 @@ def test_traversal_parity_relay_across_groups():
     """Four groups of four nodes: the only case whose records take the
     relay hop (``fwd_relay``/``bwd_relay``) and the relay's stage two."""
     assert _traversal_digest(nodes=16, nps=4) == GOLDEN["relay-multigroup"]
+
+
+def test_traversal_parity_direct_across_super_nodes():
+    """Direct routing on four super nodes of four: one group of width 16,
+    so every remote record goes straight to its owner."""
+    digest = _traversal_digest("direct-cpe", nodes=16, nps=4)
+    assert digest == GOLDEN["direct-multigroup"]
+
+
+def test_traversal_parity_relay_ragged_groups():
+    """Twelve nodes in groups of five (5, 5, 2): relays into the ragged
+    final group wrap the member index, and stage two still stays in-group."""
+    assert _traversal_digest(nodes=12, nps=5) == GOLDEN["relay-ragged"]
 
 
 def test_traversal_parity_with_codec():
@@ -254,12 +273,27 @@ ALGO_GOLDEN = {
         '370947e803a2556e56f7413603a362de5a9899090379ee47f9ececfeb0411e8a',
     ('validator', 'relay-mpe'):
         '12541aeb09ff7d14ab12bafb39411ee6ddd7b64a7962fd11a3cbcd9421a3f571',
+    # Direct routing on four super nodes of four, recorded before direct
+    # routing became the one-group relay layout.
+    ('pagerank', 'direct-multigroup'):
+        'b9530ebaea8cf4f7bc031cc3b1481514af3d32961ab8a4eb990e31d61d5909d1',
+    ('wcc', 'direct-multigroup'):
+        'feb0300027382683331590c16d1ccda1c4e3d6c002a2cfaaf3676b0a03a00033',
+    ('sssp', 'direct-multigroup'):
+        '2f413af1ae2155edacc17751022f9af4a27d1d252e9494f9be89aa9c87132f9c',
+    ('delta-stepping', 'direct-multigroup'):
+        '2e7902a541020393107b822d8693e943eb8f5808fcaeb1a37a5122fa51af9568',
+    ('kcore', 'direct-multigroup'):
+        '206b4aaa3f6c5e0a24e6fb754760255eb111166fe5df21759bf0163c681de1ac',
+    ('validator', 'direct-multigroup'):
+        '1faff507df5adf623764bf0992d1dc79494fcc9018ab4799738a27231f8004a3',
 }
 
 ALGO_CASES = {
     "relay-cpe": ("relay-cpe", 4),
     "direct-cpe": ("direct-cpe", None),
     "relay-mpe": ("relay-mpe", 4),
+    "direct-multigroup": ("direct-cpe", 4),
 }
 
 
@@ -330,15 +364,15 @@ def test_superstep_engine_parity(name, case):
     assert _algorithm_digest(name, case) == ALGO_GOLDEN[(name, case)]
 
 
-def test_superstep_engine_relay_case_takes_the_relay_hop():
-    """The relay digests cover stage two: PageRank under ``relay-cpe`` on
-    four super nodes delivers both owner-bound and relay-hop records."""
+def _pagerank_tags(variant):
+    """Wire-tag counts of one PageRank run on four super nodes of four,
+    and the cluster it ran on."""
     from collections import Counter
 
     from repro.algorithms import DistributedPageRank
 
     algo = DistributedPageRank(
-        _edges(), 16, config=variant_config("relay-cpe"), nodes_per_super_node=4
+        _edges(), 16, config=variant_config(variant), nodes_per_super_node=4
     )
     cluster = algo.engine.cluster
     tags = Counter()
@@ -350,7 +384,75 @@ def test_superstep_engine_relay_case_takes_the_relay_hop():
     for rank, handler in list(cluster._handlers.items()):
         cluster._handlers[rank] = partial(counting, handler)
     algo.run()
+    return tags, cluster
+
+
+def test_superstep_engine_relay_case_takes_the_relay_hop():
+    """The relay digests cover stage two: PageRank under ``relay-cpe`` on
+    four super nodes delivers both owner-bound and relay-hop records.
+    ``direct-cpe`` on the same machine is one group of sixteen: no record
+    relays, and every node talks to all fifteen others."""
+    tags, _ = _pagerank_tags("relay-cpe")
     assert tags == {"alg": 4800, "alg_relay": 960}
+    tags, cluster = _pagerank_tags("direct-cpe")
+    assert tags["alg"] > 0
+    assert sum(n for tag, n in tags.items() if tag.endswith("_relay")) == 0
+    assert cluster.max_connections() == 15
+
+
+# --- 2-D comparator golden digests --------------------------------------------
+#: (grid rows, grid cols, Kronecker scale) -> digest, recorded from the
+#: comparator that still wired its own engine, cluster and pipelines.
+TWOD_GOLDEN = {
+    (4, 4, 10):
+        "f9f13e0d1c7f7344500de89272dd6424e7038a86409dec677e6d8e1ee7d8a92d",
+    (2, 8, 9):
+        "3cf9e13a9e0a4bbfae948c3cdb413b70f9926fa155da53ff43e87f816a9bf3a8",
+}
+
+
+def _twod_digest(rows, cols, scale):
+    """Two roots through one ``TwoDBFS``: parents, levels, times, stats and
+    per-level traces, plus the cluster stats, the connection high-water
+    mark and every server's busy time. Numbers are hashed by value
+    (``float``/``int``), so a numpy scalar and an equal Python number
+    digest alike."""
+    from repro.baselines.twod import TwoDBFS
+    from repro.core import BFSConfig
+
+    edges = _edges(scale)
+    cfg = BFSConfig(hub_count_topdown=16, hub_count_bottomup=16)
+    bfs = TwoDBFS(edges, rows, cols, config=cfg, nodes_per_super_node=4)
+    degrees = bfs.graph.degrees()
+    roots = np.flatnonzero(degrees > 0)[:2].tolist()
+    h = hashlib.sha256()
+    for root in roots:
+        r = bfs.run(root)
+        h.update(np.ascontiguousarray(r.parent, dtype=np.int64).tobytes())
+        h.update(repr((
+            int(r.levels),
+            float(r.sim_seconds),
+            sorted((k, float(v)) for k, v in r.stats.items()),
+            [
+                (int(t.level), t.direction, int(t.frontier_vertices),
+                 int(t.frontier_edges), int(t.records_sent), int(t.messages),
+                 int(t.hub_settled), int(t.subrounds), float(t.start),
+                 float(t.finish))
+                for t in r.traces
+            ],
+        )).encode())
+    h.update(repr((
+        sorted((k, float(v)) for k, v in bfs.cluster.stats.snapshot().items()),
+        int(bfs.cluster.max_connections()),
+        [sorted((k, float(v)) for k, v in pl.busy_times().items())
+         for pl in (part.pipeline for part in bfs.states)],
+    )).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("rows, cols, scale", sorted(TWOD_GOLDEN))
+def test_twod_parity(rows, cols, scale):
+    assert _twod_digest(rows, cols, scale) == TWOD_GOLDEN[(rows, cols, scale)]
 
 
 # --- cluster-level parity: send_batch vs N sends -----------------------------
