@@ -7,6 +7,19 @@ the owner — and hands each node its incoming batch. Machine wiring,
 routing and bucketed sends are the BFS driver's own
 (:class:`~repro.core.substrate.Substrate`), so the techniques' costs carry
 over exactly as Section 8 claims.
+
+A vertex program keeps one global ``np.ndarray`` per quantity and only
+its vertex rule; the engine owns the rest of the loop:
+
+- :meth:`~repro.core.substrate.Substrate.begin_run` opens the run window
+  (its start time; the record count restarts at zero);
+- :meth:`SuperstepEngine.scatter` builds each node's outgoing batch along
+  the edges of its active vertices, in CSR order;
+- :meth:`SuperstepEngine.superstep` exchanges the batches;
+- :meth:`SuperstepEngine.combine_min` / :meth:`SuperstepEngine.combine_sum`
+  fold each owner's inbox into a global vector, one node at a time, and
+  :meth:`SuperstepEngine.reduce_sum` adds per-node partial sums the way
+  an allreduce would.
 """
 
 from __future__ import annotations
@@ -127,6 +140,64 @@ class SuperstepEngine(Substrate):
                 self.route(part, execution, "alg", v, x, self.owner[v])
         self.engine.run_until_quiescent()
         return [part.drain_inbox() for part in self.parts]
+
+    # ---------------------------------------------------- scatter / combine --
+    def scatter(
+        self, active: np.ndarray, value, keep=None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One outgoing batch per node: a record ``(t, value(s, t))`` along
+        every edge ``(s, t)`` of an ``active`` vertex ``s`` the node owns,
+        in CSR order. ``active`` is a global mask; ``s`` and ``t`` are
+        global ids. ``keep(s, t)``, when given, picks the edges that send."""
+        outgoing = []
+        for part in self.parts:
+            srcs = np.flatnonzero(active[part.lo : part.hi])
+            if len(srcs) == 0:
+                outgoing.append((np.empty(0, np.int64), np.empty(0)))
+                continue
+            s, t = part.graph.expand(srcs)
+            s += part.lo
+            if keep is not None:
+                sends = keep(s, t)
+                s, t = s[sends], t[sends]
+            outgoing.append((t, value(s, t)))
+        return outgoing
+
+    def combine_min(self, inboxes, values: np.ndarray) -> np.ndarray:
+        """Lower each owned entry of the global vector ``values`` to the
+        least value in its records; returns the mask of lowered entries."""
+        lowered = np.zeros(len(values), dtype=bool)
+        for part, (v, x) in zip(self.parts, inboxes):
+            if len(v):
+                owned = values[part.lo : part.hi]
+                before = owned.copy()
+                np.minimum.at(owned, v - part.lo, x)
+                lowered[part.lo : part.hi] = owned < before
+        return lowered
+
+    def combine_sum(self, inboxes) -> np.ndarray:
+        """Global vector of each vertex's record-value sum, added up at its
+        owner in arrival order."""
+        sums = np.zeros(self.graph.num_vertices)
+        for part, (v, x) in zip(self.parts, inboxes):
+            if len(v):
+                sums[part.lo : part.hi] = np.bincount(
+                    v - part.lo, weights=x, minlength=part.n_local
+                )
+        return sums
+
+    def reduce_sum(self, values: np.ndarray, where: np.ndarray | None = None) -> float:
+        """Sum of ``values`` (at ``where``) as the machine forms it: one
+        partial sum per node, added in node order. Float sums that reach
+        an output or a stopping test go through here, so they do not
+        depend on how the vector is laid out in memory."""
+        total = 0.0
+        for part in self.parts:
+            x = values[part.lo : part.hi]
+            if where is not None:
+                x = x[where[part.lo : part.hi]]
+            total += float(x.sum())
+        return total
 
     @property
     def sim_seconds(self) -> float:

@@ -36,105 +36,61 @@ class DistributedDeltaStepping:
         self.engine = SuperstepEngine(edges, nodes, **engine_kwargs)
         self.delta = float(delta)
         self.max_weight = max_weight
-        # Pre-split each partition's adjacency into light and heavy edges.
-        self._light: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._heavy: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for part in self.engine.parts:
-            srcs_local, targets = part.graph.expand(
-                np.arange(part.n_local, dtype=np.int64)
-            )
-            w = edge_weight(srcs_local + part.lo, targets, max_weight)
-            light = w <= self.delta
-            self._light.append((srcs_local[light], targets[light], w[light]))
-            self._heavy.append((srcs_local[~light], targets[~light], w[~light]))
-
-    @staticmethod
-    def _relax_edges(part, edges_split, mask_local):
-        """Outgoing (target, candidate distance) records for active sources."""
-        srcs, tgts, w = edges_split
-        keep = mask_local[srcs]
-        return srcs[keep], tgts[keep], w[keep]
-
-    def _combine_min(self, inboxes, dist, touched):
-        for part, d, t, (v, x) in zip(self.engine.parts, dist, touched, inboxes):
-            if len(v) == 0:
-                continue
-            v_local = v - part.lo
-            order = np.lexsort((x, v_local))
-            v_s, x_s = v_local[order], x[order]
-            first = np.concatenate(([True], v_s[1:] != v_s[:-1]))
-            v_min, x_min = v_s[first], x_s[first]
-            better = x_min < d[v_min]
-            d[v_min[better]] = x_min[better]
-            t[v_min[better]] = True
 
     def run(self, root: int, max_rounds: int = 100_000) -> DeltaSteppingResult:
         eng = self.engine
         n = eng.graph.num_vertices
         if not 0 <= root < n:
             raise ConfigError(f"root {root} out of range")
-        dist = [np.full(p.n_local, np.inf) for p in eng.parts]
-        owner = int(eng.owner[root])
-        dist[owner][root - eng.parts[owner].lo] = 0.0
+        dist = np.full(n, np.inf)
+        dist[root] = 0.0
 
-        t_start = eng.sim_seconds
+        def relax(active, light: bool) -> np.ndarray:
+            """Push ``dist + w`` along the light (w <= delta) or heavy edges
+            of ``active``; returns the mask of lowered distances."""
+            outgoing = eng.scatter(
+                active,
+                lambda s, t: dist[s] + edge_weight(s, t, self.max_weight),
+                lambda s, t: (edge_weight(s, t, self.max_weight) <= self.delta) == light,
+            )
+            return eng.combine_min(eng.superstep(outgoing), dist)
+
+        t_start = eng.begin_run()
         rounds = 0
         buckets = 0
         bucket = 0
         max_bucket = int(np.ceil(n * self.max_weight / self.delta)) + 1
         while bucket <= max_bucket:
             lo, hi = bucket * self.delta, (bucket + 1) * self.delta
-            in_bucket = [
-                (d >= lo) & (d < hi) & np.isfinite(d) for d in dist
-            ]
-            if not any(m.any() for m in in_bucket):
+            in_bucket = (dist >= lo) & (dist < hi)
+            if not in_bucket.any():
                 # Jump to the next non-empty bucket (or finish).
-                finite_min = [
-                    d[(d >= hi) & np.isfinite(d)].min()
-                    for d in dist
-                    if ((d >= hi) & np.isfinite(d)).any()
-                ]
-                if not finite_min:
+                later = dist[(dist >= hi) & np.isfinite(dist)]
+                if len(later) == 0:
                     break
-                bucket = int(min(finite_min) // self.delta)
+                bucket = int(later.min() // self.delta)
                 continue
             buckets += 1
-            settled = [m.copy() for m in in_bucket]
-            # Light-edge phase: iterate until the bucket stops growing.
+            settled = in_bucket.copy()
+            # Light-edge phase: iterate until the bucket stops growing;
+            # anything whose distance improved into (or within) the bucket
+            # must re-relax.
             active = in_bucket
-            while any(m.any() for m in active):
+            while active.any():
                 rounds += 1
                 if rounds > max_rounds:
                     raise ConfigError("delta-stepping did not converge")
-                outgoing = []
-                for part, d, m, light in zip(
-                    eng.parts, dist, active, self._light
-                ):
-                    srcs, tgts, w = self._relax_edges(part, light, m)
-                    outgoing.append((tgts, d[srcs] + w))
-                touched = [np.zeros(p.n_local, dtype=bool) for p in eng.parts]
-                self._combine_min(eng.superstep(outgoing), dist, touched)
-                active = []
-                for d, t, s in zip(dist, touched, settled):
-                    # Re-activate anything whose distance changed into (or
-                    # within) the bucket — improved vertices must re-relax.
-                    now_in = t & (d >= lo) & (d < hi)
-                    s |= now_in
-                    active.append(now_in)
+                active = relax(active, light=True) & (dist >= lo) & (dist < hi)
+                settled |= active
             # Heavy-edge phase: one relaxation from everything settled here.
             rounds += 1
-            outgoing = []
-            for part, d, s, heavy in zip(eng.parts, dist, settled, self._heavy):
-                srcs, tgts, w = self._relax_edges(part, heavy, s)
-                outgoing.append((tgts, d[srcs] + w))
-            touched = [np.zeros(p.n_local, dtype=bool) for p in eng.parts]
-            self._combine_min(eng.superstep(outgoing), dist, touched)
+            relax(settled, light=False)
             bucket += 1
 
         return DeltaSteppingResult(
             sim_seconds=eng.sim_seconds - t_start,
             supersteps=rounds,
             stats={"records_sent": float(eng.records_sent)},
-            dist=np.concatenate(dist),
+            dist=dist,
             buckets_processed=buckets,
         )

@@ -33,39 +33,24 @@ class DistributedKCore:
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
         eng = self.engine
-        alive = [np.ones(p.n_local, dtype=bool) for p in eng.parts]
-        degree = [p.graph.degrees().astype(np.int64) for p in eng.parts]
-        t_start = eng.sim_seconds
+        degree = eng.graph.degrees().astype(np.int64)
+        alive = np.ones(len(degree), dtype=bool)
+        t_start = eng.begin_run()
         rounds = 0
-        while rounds < max_rounds:
-            outgoing = []
-            any_removed = False
-            for part, a, deg in zip(eng.parts, alive, degree):
-                doomed = np.flatnonzero(a & (deg < k))
-                if len(doomed) == 0:
-                    outgoing.append((np.empty(0, np.int64), np.empty(0)))
-                    continue
-                any_removed = True
-                a[doomed] = False
-                _, targets = part.graph.expand(doomed)
-                outgoing.append((targets, np.ones(len(targets))))
-            if not any_removed:
+        while True:
+            doomed = alive & (degree < k)
+            if not doomed.any():
                 break
+            if rounds == max_rounds:
+                raise ConfigError(f"k-core did not converge within {max_rounds} rounds")
             rounds += 1
-            inboxes = eng.superstep(outgoing)
-            for part, a, deg, (v, x) in zip(eng.parts, alive, degree, inboxes):
-                if len(v) == 0:
-                    continue
-                v_local = v - part.lo
-                deg -= np.bincount(
-                    v_local, weights=x, minlength=part.n_local
-                ).astype(np.int64)
-        else:
-            raise ConfigError(f"k-core did not converge within {max_rounds} rounds")
+            alive[doomed] = False
+            inboxes = eng.superstep(eng.scatter(doomed, lambda s, t: np.ones(len(t))))
+            degree -= eng.combine_sum(inboxes).astype(np.int64)
         return KCoreResult(
             sim_seconds=eng.sim_seconds - t_start,
             supersteps=rounds,
             stats={"records_sent": float(eng.records_sent)},
-            in_core=np.concatenate(alive),
+            in_core=alive,
             k=k,
         )

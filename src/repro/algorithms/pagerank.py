@@ -33,38 +33,27 @@ class DistributedPageRank:
             raise ConfigError(f"need at least one iteration, got {iterations}")
         eng = self.engine
         n = eng.graph.num_vertices
-        ranks = [np.full(p.n_local, 1.0 / n) for p in eng.parts]
-        degrees = [p.graph.degrees().astype(np.float64) for p in eng.parts]
-        all_local = [np.arange(p.n_local, dtype=np.int64) for p in eng.parts]
-        t_start = eng.sim_seconds
+        degree = eng.graph.degrees().astype(np.float64)
+        has_edges = degree > 0
+        dangling = ~has_edges
+        ranks = np.full(n, 1.0 / n)
+        t_start = eng.begin_run()
         done = 0
         for _ in range(iterations):
             done += 1
-            outgoing = []
-            dangling = 0.0
-            for part, r, deg, idx in zip(eng.parts, ranks, degrees, all_local):
-                has_edges = deg > 0
-                dangling += float(r[~has_edges].sum())
-                active = idx[has_edges]
-                srcs_local, targets = part.graph.expand(active)
-                outgoing.append((targets, (r / np.maximum(deg, 1.0))[srcs_local]))
-            inboxes = eng.superstep(outgoing)
-            base = (1.0 - self.damping) / n + self.damping * dangling / n
-            delta = 0.0
-            for part, r, (v, x) in zip(eng.parts, ranks, inboxes):
-                new = np.full(part.n_local, base)
-                if len(v):
-                    v_local = v - part.lo
-                    new += self.damping * np.bincount(
-                        v_local, weights=x, minlength=part.n_local
-                    )
-                delta += float(np.abs(new - r).sum())
-                r[:] = new
-            if tol > 0 and delta < tol:
+            share = ranks / np.maximum(degree, 1.0)
+            inboxes = eng.superstep(eng.scatter(has_edges, lambda s, t: share[s]))
+            base = (1.0 - self.damping) / n + self.damping * eng.reduce_sum(
+                ranks, dangling
+            ) / n
+            new = base + self.damping * eng.combine_sum(inboxes)
+            converged = tol > 0 and eng.reduce_sum(np.abs(new - ranks)) < tol
+            ranks = new
+            if converged:
                 break
         return PageRankResult(
             sim_seconds=eng.sim_seconds - t_start,
             supersteps=done,
             stats={"records_sent": float(eng.records_sent)},
-            ranks=np.concatenate(ranks),
+            ranks=ranks,
         )

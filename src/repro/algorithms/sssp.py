@@ -48,52 +48,25 @@ class DistributedSSSP:
         n = eng.graph.num_vertices
         if not 0 <= root < n:
             raise ConfigError(f"root {root} out of range")
-        dist = [np.full(p.n_local, np.inf) for p in eng.parts]
-        changed = [np.zeros(p.n_local, dtype=bool) for p in eng.parts]
-        root_owner = int(eng.owner[root])
-        r_local = root - eng.parts[root_owner].lo
-        dist[root_owner][r_local] = 0.0
-        changed[root_owner][r_local] = True
+        dist = np.full(n, np.inf)
+        dist[root] = 0.0
+        changed = np.zeros(n, dtype=bool)
+        changed[root] = True
 
-        t_start = eng.sim_seconds
+        def candidate(s, t):
+            return dist[s] + edge_weight(s, t, self.max_weight)
+
+        t_start = eng.begin_run()
         rounds = 0
-        while rounds < max_rounds:
+        while changed.any():
+            if rounds == max_rounds:
+                raise ConfigError(f"SSSP did not converge within {max_rounds} rounds")
             rounds += 1
-            outgoing = []
-            any_changed = False
-            for part, d, c in zip(eng.parts, dist, changed):
-                active = np.flatnonzero(c)
-                c[:] = False
-                if len(active) == 0:
-                    outgoing.append((np.empty(0, np.int64), np.empty(0)))
-                    continue
-                any_changed = True
-                srcs_local, targets = part.graph.expand(active)
-                srcs_global = srcs_local + part.lo
-                w = edge_weight(srcs_global, targets, self.max_weight)
-                outgoing.append((targets, d[srcs_local] + w))
-            if not any_changed:
-                rounds -= 1  # the empty round didn't do work
-                break
-            inboxes = eng.superstep(outgoing)
-            for part, d, c, (v, x) in zip(eng.parts, dist, changed, inboxes):
-                if len(v) == 0:
-                    continue
-                v_local = v - part.lo
-                # Min-combine per local vertex.
-                order = np.lexsort((x, v_local))
-                v_sorted, x_sorted = v_local[order], x[order]
-                first = np.concatenate(([True], v_sorted[1:] != v_sorted[:-1]))
-                v_min, x_min = v_sorted[first], x_sorted[first]
-                better = x_min < d[v_min]
-                d[v_min[better]] = x_min[better]
-                c[v_min[better]] = True
-        else:
-            raise ConfigError(f"SSSP did not converge within {max_rounds} rounds")
-
+            inboxes = eng.superstep(eng.scatter(changed, candidate))
+            changed = eng.combine_min(inboxes, dist)
         return SSSPResult(
             sim_seconds=eng.sim_seconds - t_start,
             supersteps=rounds,
             stats={"records_sent": float(eng.records_sent)},
-            dist=np.concatenate(dist),
+            dist=dist,
         )

@@ -30,44 +30,19 @@ class DistributedWCC:
 
     def run(self, max_rounds: int = 10_000) -> WCCResult:
         eng = self.engine
-        labels = [
-            np.arange(p.lo, p.hi, dtype=np.float64) for p in eng.parts
-        ]
-        changed = [np.ones(p.n_local, dtype=bool) for p in eng.parts]
-        t_start = eng.sim_seconds
+        labels = np.arange(eng.graph.num_vertices, dtype=np.float64)
+        changed = np.ones(len(labels), dtype=bool)
+        t_start = eng.begin_run()
         rounds = 0
-        while rounds < max_rounds:
-            outgoing = []
-            any_changed = False
-            for part, lab, c in zip(eng.parts, labels, changed):
-                active = np.flatnonzero(c)
-                c[:] = False
-                if len(active) == 0:
-                    outgoing.append((np.empty(0, np.int64), np.empty(0)))
-                    continue
-                any_changed = True
-                srcs_local, targets = part.graph.expand(active)
-                outgoing.append((targets, lab[srcs_local]))
-            if not any_changed:
-                break
+        while changed.any():
+            if rounds == max_rounds:
+                raise ConfigError(f"WCC did not converge within {max_rounds} rounds")
             rounds += 1
-            inboxes = eng.superstep(outgoing)
-            for part, lab, c, (v, x) in zip(eng.parts, labels, changed, inboxes):
-                if len(v) == 0:
-                    continue
-                v_local = v - part.lo
-                order = np.lexsort((x, v_local))
-                v_sorted, x_sorted = v_local[order], x[order]
-                first = np.concatenate(([True], v_sorted[1:] != v_sorted[:-1]))
-                v_min, x_min = v_sorted[first], x_sorted[first]
-                better = x_min < lab[v_min]
-                lab[v_min[better]] = x_min[better]
-                c[v_min[better]] = True
-        else:
-            raise ConfigError(f"WCC did not converge within {max_rounds} rounds")
+            inboxes = eng.superstep(eng.scatter(changed, lambda s, t: labels[s]))
+            changed = eng.combine_min(inboxes, labels)
         return WCCResult(
             sim_seconds=eng.sim_seconds - t_start,
             supersteps=rounds,
             stats={"records_sent": float(eng.records_sent)},
-            labels=np.concatenate(labels).astype(np.int64),
+            labels=labels.astype(np.int64),
         )

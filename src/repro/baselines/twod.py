@@ -174,9 +174,7 @@ class TwoDBFS(Substrate):
         owner.parent[root - owner.lo] = root
         owner.frontier = np.array([root], dtype=np.int64)
 
-        t_start = max(self.engine.now, self._t_max)
-        self._t_max = t_start
-        self.records_sent = 0
+        t_start = self.begin_run()
         traces: list[LevelTrace] = []
         bitmap_bytes = -(-self.seg // 8)
         frontier_bytes = self.config.header_bytes + bitmap_bytes

@@ -580,9 +580,7 @@ class DistributedBFS(Substrate):
         resilience_before = {
             k: self.cluster.stats.value(k) for k in resilience_keys
         }
-        # Start after every leftover job from a previous root has drained so
-        # per-root durations never overlap.
-        t_run_start = max(self.engine.now, self._t_max)
+        t_run_start = self.begin_run()
         tel = self.telemetry
         root_span = -1
         if tel is not None:
@@ -590,8 +588,6 @@ class DistributedBFS(Substrate):
                 f"root {root}", "root", parent=tel.current, root=root
             )
             tel.push(root_span)
-        self._t_max = t_run_start
-        self.records_sent = 0
         self._hub_settled = 0
         self._recoveries = 0
         self._checkpoint_seconds = 0.0

@@ -6,8 +6,9 @@ to their owners — is also that of SSSP, WCC, PageRank and k-core.
 (1-D partition and owner map, group layout, engine, SimMPI cluster, one
 :class:`~repro.core.pipeline.NodePipeline` per node), :meth:`route`
 (local, straight to the owner, or via the group relay, which forwards
-what it receives at once) and :meth:`_send_buckets` (one message per first
-hop, pipelined against the producing module).
+what it receives at once), :meth:`_send_buckets` (one message per first
+hop, pipelined against the producing module) and :meth:`begin_run` (where
+a run's window starts and what it counts).
 
 The :class:`~repro.core.batching.GroupLayout` is the routing plan, and the
 constructor is the one reader of ``config.use_relay``: relay routing lays
@@ -162,6 +163,15 @@ class Substrate:
         raise NotImplementedError
 
     # ------------------------------------------------------------- time marks --
+    def begin_run(self) -> float:
+        """Open a run window: it starts once every job left by an earlier
+        run has drained, so runs never overlap, and it counts its own
+        records. Returns the window's start."""
+        t0 = max(self.engine.now, self._t_max)
+        self._t_max = t0
+        self.records_sent = 0
+        return t0
+
     def _mark(self, t: float) -> None:
         if t > self._t_max:
             self._t_max = t

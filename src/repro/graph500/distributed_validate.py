@@ -62,80 +62,56 @@ class DistributedValidator:
         if ((parent < -1) | (parent >= n)).any():
             raise ValidationError("rule 1: parent id out of range")
 
-        # Rule 5 first (purely local): claimed tree edges must exist.
-        for part in eng.parts:
-            mine = np.arange(part.lo, part.hi, dtype=np.int64)
-            p_local = parent[mine]
-            children = mine[(p_local >= 0) & (mine != root)]
-            if len(children) == 0:
-                continue
-            srcs, tgts = part.graph.expand(children - part.lo)
-            keys = (srcs + part.lo) * np.int64(n) + tgts
-            want = children * np.int64(n) + parent[children]
-            ok = np.isin(want, keys)
-            if not ok.all():
-                bad = int(children[np.flatnonzero(~ok)[0]])
-                raise ValidationError(
-                    f"rule 5: claimed tree edge {parent[bad]} -> {bad} "
-                    "is not a graph edge"
-                )
+        # Rule 5 first (purely local at each child's owner): claimed tree
+        # edges must exist.
+        children = np.flatnonzero(parent >= 0)
+        children = children[children != root]
+        ok = eng.graph.has_edges(children, parent[children])
+        if not ok.all():
+            bad = int(children[np.flatnonzero(~ok)[0]])
+            raise ValidationError(
+                f"rule 5: claimed tree edge {parent[bad]} -> {bad} "
+                "is not a graph edge"
+            )
 
         # Depth resolution by repeated parent queries.
-        depth = [np.full(p.n_local, -1, dtype=np.int64) for p in eng.parts]
-        root_owner = int(eng.owner[root])
-        depth[root_owner][root - eng.parts[root_owner].lo] = 0
-        t_start = eng.sim_seconds
+        depth = np.full(n, -1, dtype=np.int64)
+        depth[root] = 0
+        t_start = eng.begin_run()
         rounds = 0
-        resolved_now = True
-        while rounds < max_rounds:
-            rounds += 1
-            outgoing = []
-            pending_any = False
-            for part, d in zip(eng.parts, depth):
-                mine = np.arange(part.lo, part.hi, dtype=np.int64)
-                unresolved = mine[(parent[mine] >= 0) & (d < 0)]
-                if len(unresolved) == 0:
-                    outgoing.append((np.empty(0, np.int64), np.empty(0)))
-                    continue
-                pending_any = True
-                # Ask the owner of each parent for its depth; encode the
-                # child id as the value so the answer can come straight
-                # back as (child, depth).
-                outgoing.append((parent[unresolved], unresolved.astype(np.float64)))
-            if not pending_any:
-                rounds -= 1
+        while True:
+            unresolved = (parent >= 0) & (depth < 0)
+            if not unresolved.any():
                 break
-            inboxes = eng.superstep(outgoing)
+            if rounds == max_rounds:
+                raise ValidationError(f"depth resolution exceeded {max_rounds} rounds")
+            rounds += 1
+            # Ask the owner of each parent for its depth; encode the child id
+            # as the value so the answer can come straight back as
+            # (child, depth).
+            queries = []
+            for part in eng.parts:
+                child = part.lo + np.flatnonzero(unresolved[part.lo : part.hi])
+                queries.append((parent[child], child.astype(np.float64)))
             # Owners answer queries whose target depth is known.
             answers = []
-            for part, d, (q_parent, q_child) in zip(eng.parts, depth, inboxes):
-                if len(q_parent) == 0:
-                    answers.append((np.empty(0, np.int64), np.empty(0)))
-                    continue
-                pd = d[q_parent - part.lo]
+            for q_parent, q_child in eng.superstep(queries):
+                pd = depth[q_parent]
                 known = pd >= 0
                 answers.append(
                     (q_child[known].astype(np.int64), (pd[known] + 1).astype(np.float64))
                 )
-            inboxes = eng.superstep(answers)
             resolved_now = False
-            for part, d, (child, child_depth) in zip(eng.parts, depth, inboxes):
-                if len(child) == 0:
-                    continue
-                d[child - part.lo] = child_depth.astype(np.int64)
-                resolved_now = True
+            for child, child_depth in eng.superstep(answers):
+                if len(child):
+                    depth[child] = child_depth.astype(np.int64)
+                    resolved_now = True
             if not resolved_now:
                 # No progress while queries remain: a cycle or a chain
                 # detached from the root.
                 raise ValidationError(
                     "rule 1: parent chains contain a cycle or dangling branch"
                 )
-        else:
-            raise ValidationError(f"depth resolution exceeded {max_rounds} rounds")
-
-        full_depth = np.full(n, -1, dtype=np.int64)
-        for part, d in zip(eng.parts, depth):
-            full_depth[part.lo : part.hi] = d
 
         # Replicate depths (allgather of int64s, priced) and run the edge rules.
         t_allgather = allgather_seconds(
@@ -145,7 +121,7 @@ class DistributedValidator:
 
         # Self-loops (du == dv) can fail neither edge rule: no filter copy.
         edges = self.edges
-        du, dv = full_depth[edges.src], full_depth[edges.dst]
+        du, dv = depth[edges.src], depth[edges.dst]
         if np.any((du >= 0) != (dv >= 0)):
             bad = int(np.flatnonzero((du >= 0) != (dv >= 0))[0])
             raise ValidationError(
@@ -156,11 +132,11 @@ class DistributedValidator:
         if both.any() and np.abs(du[both] - dv[both]).max() > 1:
             raise ValidationError("rule 3: an edge spans more than one level")
         # Reached set must agree with the parent map.
-        if not np.array_equal(full_depth >= 0, parent >= 0):
+        if not np.array_equal(depth >= 0, parent >= 0):
             raise ValidationError("rule 1: reached sets disagree with depths")
 
         return DistributedValidationResult(
-            depth=full_depth,
+            depth=depth,
             sim_seconds=eng.sim_seconds - t_start,
             supersteps=rounds,
         )

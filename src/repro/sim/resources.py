@@ -4,8 +4,7 @@ The BFS runtime computes every service time up front (from the machine
 model), so a resource does not need blocking semantics — only an answer to
 "given work arriving at time ``t`` that takes ``d`` seconds, when does it
 start and finish?". :class:`Server` is one FIFO execution unit (an MPE, a
-CPE cluster, a network link); :class:`ServerPool` models "any idle unit"
-scheduling (the paper's first-come-first-serve CPE-cluster dispatch).
+CPE cluster, a network link).
 """
 
 from __future__ import annotations
@@ -99,42 +98,3 @@ class Server:
         if self.intervals is not None:
             self.intervals = []
 
-
-class ServerPool:
-    """A set of interchangeable servers with earliest-available dispatch.
-
-    This models the paper's module scheduling: an incoming module execution
-    is given to whichever CPE cluster frees up first (first-come-first-serve,
-    Section 4.4), and the caller can inspect the queueing delay to decide to
-    divert tiny jobs to the MPE instead (the 1 KB quick path, Section 5).
-    """
-
-    def __init__(self, names: list[str]) -> None:
-        if not names:
-            raise SimulationError("empty server pool")
-        self.servers = [Server(n) for n in names]
-
-    def __len__(self) -> int:
-        return len(self.servers)
-
-    def pick(self, now: float) -> Server:
-        """The server that could start a job arriving at ``now`` soonest.
-
-        Ties break on position, which keeps dispatch deterministic.
-        """
-        return min(self.servers, key=lambda s: (s.earliest_start(now),))
-
-    def earliest_start(self, now: float) -> float:
-        return self.pick(now).earliest_start(now)
-
-    def admit(self, now: float, duration: float) -> tuple[float, float, Server]:
-        server = self.pick(now)
-        start, finish = server.admit(now, duration)
-        return start, finish, server
-
-    def reset(self) -> None:
-        for s in self.servers:
-            s.reset()
-
-    def total_busy_time(self) -> float:
-        return sum(s.busy_time for s in self.servers)

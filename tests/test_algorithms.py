@@ -4,14 +4,17 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import (
+    DistributedDeltaStepping,
     DistributedKCore,
     DistributedPageRank,
     DistributedSSSP,
     DistributedWCC,
     edge_weight,
 )
+from repro.baselines.variants import variant_config
 from repro.core import BFSConfig
 from repro.errors import ConfigError
 from repro.graph import CSRGraph, EdgeList, KroneckerGenerator
@@ -208,3 +211,143 @@ def test_superstep_engine_validation():
     eng = SuperstepEngine(ring_edges(16), 2, **KW)
     with pytest.raises(ConfigError):
         eng.superstep([])  # wrong batch count
+
+
+def test_superstep_engine_empty_inboxes_combine_to_nothing():
+    from repro.algorithms.base import SuperstepEngine
+
+    eng = SuperstepEngine(ring_edges(16), 4, **KW)
+    inboxes = eng.superstep(eng.scatter(np.zeros(16, dtype=bool), None))
+    assert all(len(v) == 0 for v, _ in inboxes)
+    values = np.arange(16, dtype=np.float64)
+    assert not eng.combine_min(inboxes, values).any()
+    assert np.array_equal(values, np.arange(16))
+    assert not eng.combine_sum(inboxes).any()
+
+
+def test_superstep_engine_scatter_keeps_csr_order():
+    from repro.algorithms.base import SuperstepEngine
+
+    eng = SuperstepEngine(kron(scale=7, seed=2), 4, **KW)
+    active = eng.graph.degrees() % 3 == 1
+    outgoing = eng.scatter(active, lambda s, t: s.astype(np.float64))
+    for part, (t, s) in zip(eng.parts, outgoing):
+        srcs = np.flatnonzero(active[part.lo : part.hi]) + part.lo
+        want_s, want_t = eng.graph.expand(srcs)
+        assert np.array_equal(t, want_t)
+        assert np.array_equal(s, want_s.astype(np.float64))
+
+
+# ----------------------------------------------------- one instance, two runs --
+def _six_programs():
+    from repro.graph500.distributed_validate import DistributedValidator
+    from repro.graph500.reference import reference_bfs
+
+    edges = kron(scale=8, seed=11)
+    graph = CSRGraph.from_edges(edges)
+    root = int(np.flatnonzero(graph.degrees() > 0)[0])
+    parent = reference_bfs(graph, root)
+    return {
+        "sssp": (DistributedSSSP(edges, 4, **KW), lambda a: a.run(root), "dist"),
+        "delta-stepping": (
+            DistributedDeltaStepping(edges, 4, **KW), lambda a: a.run(root), "dist"
+        ),
+        "wcc": (DistributedWCC(edges, 4, **KW), lambda a: a.run(), "labels"),
+        "pagerank": (
+            DistributedPageRank(edges, 4, **KW), lambda a: a.run(iterations=5), "ranks"
+        ),
+        "kcore": (DistributedKCore(edges, 4, **KW), lambda a: a.run(3), "in_core"),
+        "validator": (
+            DistributedValidator(edges, 4, **KW),
+            lambda a: a.validate(root, parent),
+            "depth",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["sssp", "delta-stepping", "wcc", "pagerank", "kcore", "validator"]
+)
+def test_second_run_on_one_instance_repeats_the_first(name):
+    """A run's window starts where the last one ended and counts only its
+    own records, so a rerun reports the same result as the first run."""
+    algo, run, field = _six_programs()[name]
+    first = run(algo)
+    first_records = algo.engine.records_sent
+    second = run(algo)
+    assert np.array_equal(getattr(first, field), getattr(second, field))
+    assert first.supersteps == second.supersteps
+    assert algo.engine.records_sent == first_records > 0
+    if hasattr(first, "stats"):
+        assert first.stats["records_sent"] == second.stats["records_sent"]
+        assert second.stats["records_sent"] == first_records
+    assert second.sim_seconds == pytest.approx(first.sim_seconds, rel=1e-9)
+
+
+# ------------------------------------------------ adversarial graphs vs oracles --
+#: Both routing layouts on four nodes: direct is one group of four (1 x P),
+#: relay on super nodes of two is two groups of two (N x M).
+LAYOUTS = {
+    "direct-cpe": dict(config=variant_config("direct-cpe")),
+    "relay-cpe": dict(config=variant_config("relay-cpe"), nodes_per_super_node=2),
+}
+P = 4
+
+
+@st.composite
+def hostile_graphs(draw):
+    """Self-loops, multi-edges and isolated vertices on n vertices, with n
+    not a multiple of the node count. Vertex n - 1 is always isolated."""
+    n = P * draw(st.integers(1, 8)) + draw(st.integers(1, P - 1))
+    vertex = st.integers(0, n - 2)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    loops = draw(st.lists(vertex, max_size=3))
+    pairs += [(v, v) for v in loops]
+    pairs += pairs[: draw(st.integers(0, len(pairs)))]  # multi-edges
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    root = draw(st.integers(0, n - 1))
+    return EdgeList(src, dst, n), root
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@settings(max_examples=12, deadline=None)
+@given(case=hostile_graphs())
+def test_algorithms_match_oracles_on_hostile_graphs(layout, case):
+    edges, root = case
+    n = edges.num_vertices
+    kw = LAYOUTS[layout]
+    g = to_nx(edges)
+
+    # WCC: the scipy partition, labelled by each component's least vertex.
+    mat = sp.coo_matrix(
+        (np.ones(edges.num_edges), (edges.src, edges.dst)), shape=(n, n)
+    )
+    _, comp = sp.csgraph.connected_components(mat, directed=False)
+    labels = DistributedWCC(edges, P, **kw).run().labels
+    for c in np.unique(comp):
+        members = np.flatnonzero(comp == c)
+        assert (labels[members] == members.min()).all()
+
+    # SSSP and delta-stepping from a drawn root and from the isolated one.
+    weighted = to_nx(edges, weighted=True)
+    for r in (root, n - 1):
+        expected = np.full(n, np.inf)
+        for v, d in nx.single_source_dijkstra_path_length(weighted, r).items():
+            expected[v] = d
+        assert np.array_equal(DistributedSSSP(edges, P, **kw).run(r).dist, expected)
+        delta = DistributedDeltaStepping(edges, P, delta=3.0, **kw).run(r).dist
+        assert np.array_equal(delta, expected)
+
+    # k-core membership from networkx core numbers.
+    cores = nx.core_number(g)
+    for k in (1, 2, 3):
+        in_core = DistributedKCore(edges, P, **kw).run(k).in_core
+        assert set(np.flatnonzero(in_core).tolist()) == {
+            v for v, c in cores.items() if c >= k
+        }
+
+    # PageRank, dangling mass spread uniformly in both.
+    ranks = DistributedPageRank(edges, P, **kw).run(iterations=300, tol=1e-13).ranks
+    expected = nx.pagerank(g, alpha=0.85, max_iter=1000, tol=1e-14)
+    assert ranks == pytest.approx([expected[v] for v in range(n)], abs=1e-9)

@@ -1,10 +1,10 @@
-"""Tests for Server / ServerPool busy-time resources."""
+"""Tests for the Server busy-time resource."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Server, ServerPool
+from repro.sim import Server
 
 
 def test_idle_server_starts_immediately():
@@ -33,37 +33,6 @@ def test_utilisation_and_jobs():
 def test_negative_service_time_rejected():
     with pytest.raises(SimulationError):
         Server().admit(0.0, -1.0)
-
-
-def test_pool_picks_earliest_available():
-    pool = ServerPool(["a", "b"])
-    _, _, first = pool.admit(0.0, 10.0)
-    _, _, second = pool.admit(0.0, 1.0)
-    assert first.name == "a"
-    assert second.name == "b"
-    # "b" frees at t=1, so the next job should land on it.
-    start, _, third = pool.admit(0.5, 1.0)
-    assert third.name == "b"
-    assert start == 1.0
-
-
-def test_pool_tie_break_is_deterministic():
-    pool = ServerPool(["a", "b", "c"])
-    _, _, chosen = pool.admit(0.0, 1.0)
-    assert chosen.name == "a"
-
-
-def test_empty_pool_rejected():
-    with pytest.raises(SimulationError):
-        ServerPool([])
-
-
-def test_pool_reset():
-    pool = ServerPool(["a"])
-    pool.admit(0.0, 5.0)
-    pool.reset()
-    assert pool.earliest_start(0.0) == 0.0
-    assert pool.total_busy_time() == 0.0
 
 
 @given(
