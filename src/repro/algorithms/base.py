@@ -3,10 +3,11 @@
 A Pregel-flavoured loop: each superstep every node emits (target vertex,
 value) records; the engine shuffles them — generator module at the source,
 relay module at the group relay (when relaying is on), handler module at
-the owner — and hands each node its incoming batch. Machine wiring,
-routing and bucketed sends are the BFS driver's own
-(:class:`~repro.core.substrate.Substrate`), so the techniques' costs carry
-over exactly as Section 8 claims.
+the owner — and hands each node its incoming batch. A superstep is one
+:meth:`~repro.core.substrate.Substrate.exchange` round, the same round a
+BFS level takes, so machine wiring, routing and bucketed sends are the
+BFS driver's own and the techniques' costs carry over exactly as Section 8
+claims.
 
 A vertex program keeps one global ``np.ndarray`` per quantity and only
 its vertex rule; the engine owns the rest of the loop:
@@ -15,7 +16,8 @@ its vertex rule; the engine owns the rest of the loop:
   (its start time; the record count restarts at zero);
 - :meth:`SuperstepEngine.scatter` builds each node's outgoing batch along
   the edges of its active vertices, in CSR order;
-- :meth:`SuperstepEngine.superstep` exchanges the batches;
+- :meth:`SuperstepEngine.superstep` exchanges the batches (one
+  ``exchange`` round of ``alg`` records);
 - :meth:`SuperstepEngine.combine_min` / :meth:`SuperstepEngine.combine_sum`
   fold each owner's inbox into a global vector, one node at a time, and
   :meth:`SuperstepEngine.reduce_sum` adds per-node partial sums the way
@@ -103,9 +105,6 @@ class SuperstepEngine(Substrate):
         part.inbox_v.append(v)
         part.inbox_x.append(x)
 
-    def _message_bytes(self, n_records: int) -> int:
-        return self.config.header_bytes + n_records * self.record_bytes
-
     def _post(self, src, dests, tag, nbytes, payloads, at_times) -> None:
         # One ``cluster.send`` per bucket rather than one ``send_batch``:
         # the benchmark ledger's ``algo_mix`` workload is pinned to the
@@ -128,17 +127,16 @@ class SuperstepEngine(Substrate):
             raise ConfigError("need one outgoing batch per node")
         t0 = self._t_max + allreduce_seconds(self.num_nodes, self.spec.taihulight)
         self._mark(t0)
-        for part, (v, x) in zip(self.parts, outgoing):
+
+        def batch_of(part: LocalPart) -> tuple[np.ndarray, np.ndarray]:
+            v, x = outgoing[part.node_id]
             v = np.asarray(v, dtype=np.int64)
             x = np.asarray(x, dtype=np.float64)
             if v.shape != x.shape:
                 raise ConfigError("targets and values must align")
-            nbytes = max(len(v), 1) * self.record_bytes
-            execution = part.pipeline.submit_module(t0, "forward_generator", nbytes)
-            self._mark(execution.finish)
-            if len(v):
-                self.route(part, execution, "alg", v, x, self.owner[v])
-        self.engine.run_until_quiescent()
+            return v, x
+
+        self.exchange(t0, "forward_generator", "alg", batch_of)
         return [part.drain_inbox() for part in self.parts]
 
     # ---------------------------------------------------- scatter / combine --

@@ -23,19 +23,23 @@ The vector layout is a 1-D block partition (rank ``i*C + j`` owns every
 ``v`` with ``v // seg == i*C + j``), so the comparator is a
 :class:`~repro.core.substrate.Substrate` that sends ``frontier`` records
 (expand) and ``fwd`` (parent, child) records (fold) straight to grid mates.
+Its vector state is the 1-D driver's :class:`~repro.core.runtime.NodeState`
+(parents, frontier, first-wins apply, level promotion), and its run window
+counts its own records, messages and bytes
+(:meth:`~repro.core.substrate.Substrate.run_count`).
 
 Requires ``n % (R*C) == 0`` (powers of two throughout in Graph500 use).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.bfs import BFSResult, LevelTrace
 from repro.core.config import BFSConfig
+from repro.core.runtime import NodeState
 from repro.core.substrate import Substrate
 from repro.errors import ConfigError, ReproError
 from repro.graph.csr import CSRGraph
@@ -44,24 +48,18 @@ from repro.machine.specs import MachineSpec, TAIHULIGHT
 from repro.network.collectives import allreduce_seconds
 
 
-@dataclass
-class GridPart:
-    """Processor (i, j): vector segment ``[lo, hi)`` with its parent and
-    next-frontier state, the adjacency block, the gathered column frontier."""
+class GridPart(NodeState):
+    """Processor (i, j): the BFS vector state of segment ``[lo, hi)``, plus
+    the adjacency block and the gathered column frontier."""
 
-    node_id: int
-    lo: int
-    hi: int
-    rows: CSRGraph  # the substrate's 1-D row slice; the 2-D kernel uses ``block``
-    pipeline: Any  # the node's repro.core.pipeline.NodePipeline
-    block: CSRGraph | None = None
-    block_sources: np.ndarray | None = None
-    gathered: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.parent = np.full(self.hi - self.lo, -1, dtype=np.int64)
-        self.next_mask = np.zeros(self.hi - self.lo, dtype=bool)
-        self.frontier = np.empty(0, dtype=np.int64)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        #: Block (i, j): rows are ``block_sources`` (column block j),
+        #: columns global targets in row block i.
+        self.block: CSRGraph | None = None
+        self.block_sources: np.ndarray | None = None
+        #: Frontier vertices (global ids) gathered up the column this level.
+        self.gathered: list[np.ndarray] = []
 
 
 class TwoDBFS(Substrate):
@@ -145,34 +143,16 @@ class TwoDBFS(Substrate):
     def _apply(self, part: GridPart, execution, kind, u, v) -> None:
         if kind == "frontier":
             part.gathered.append(u)
-            return
-        v_local = v - part.lo
-        fresh = part.parent[v_local] < 0
-        v_local, u = v_local[fresh], u[fresh]
-        if len(v_local) == 0:
-            return
-        uniq, first = np.unique(v_local, return_index=True)
-        part.parent[uniq] = u[first]
-        part.next_mask[uniq] = True
-
-    def _message_bytes(self, n_records: int) -> int:
-        return self.config.header_bytes + n_records * self.config.record_bytes
-
-    def _post(self, src, dests, tag, nbytes, payloads, at_times) -> None:
-        self.cluster.send_batch(src, dests, tag, nbytes, payloads=payloads,
-                                at_times=at_times)
+        else:
+            part.apply_forward(u, v)
 
     # ----------------------------------------------------------------- run --
     def run(self, root: int) -> BFSResult:
         if not 0 <= root < self.n:
             raise ConfigError(f"root {root} out of range")
         for part in self.states:
-            part.parent[:] = -1
-            part.next_mask[:] = False
-            part.frontier = np.empty(0, dtype=np.int64)
-        owner = self.states[int(self.owner[root])]
-        owner.parent[root - owner.lo] = root
-        owner.frontier = np.array([root], dtype=np.int64)
+            part.reset()
+        self.states[int(self.owner[root])].seed_root(root)
 
         t_start = self.begin_run()
         traces: list[LevelTrace] = []
@@ -186,7 +166,7 @@ class TwoDBFS(Substrate):
             # Level barrier: the "is the global frontier empty?" allreduce.
             t0 = self._t_max + control
             self._mark(t0)
-            frontier_total = sum(len(part.frontier) for part in self.states)
+            frontier_total = sum(len(part.curr) for part in self.states)
             msgs_before = self.cluster.stats.value("messages")
             records_before = self.records_sent
 
@@ -197,12 +177,13 @@ class TwoDBFS(Substrate):
                     t0, "forward_generator", max(1, bitmap_bytes)
                 )
                 self._mark(execution.finish)
-                part.gathered.append(part.frontier)
+                frontier = part.to_global(part.curr)
+                part.gathered.append(frontier)
                 mates = [self.rank(i2, j) for i2 in range(self.R) if i2 != i]
                 if mates:
                     self._inject(
                         part, mates, "frontier", [frontier_bytes] * len(mates),
-                        [(part.frontier, None)] * len(mates),
+                        [(frontier, None)] * len(mates),
                         [execution.finish] * len(mates),
                     )
             self.engine.run_until_quiescent()
@@ -245,7 +226,7 @@ class TwoDBFS(Substrate):
                             execution.finish, "forward_handler", mb
                         )
                         self._mark(local_exec.finish)
-                        self._apply(part, local_exec, "fwd", *payload)
+                        part.apply_forward(*payload)
                         continue
                     dests.append(d)
                     sizes.append(mb)
@@ -271,13 +252,7 @@ class TwoDBFS(Substrate):
             )
 
             # --- barrier: promote next -> frontier ------------------------
-            new_total = 0
-            for part in self.states:
-                idx = np.flatnonzero(part.next_mask)
-                part.frontier = idx + part.lo
-                part.next_mask[:] = False
-                new_total += len(idx)
-            if new_total == 0:
+            if sum(part.advance_level() for part in self.states) == 0:
                 break
         else:
             raise ReproError(f"2-D BFS exceeded {self.config.max_levels} levels")
@@ -291,8 +266,8 @@ class TwoDBFS(Substrate):
             traces=traces,
             stats={
                 "records_sent": float(self.records_sent),
-                "messages": self.cluster.stats.value("messages"),
-                "bytes": self.cluster.stats.value("bytes"),
+                "messages": self.run_count("messages"),
+                "bytes": self.run_count("bytes"),
                 "hub_settled": 0.0,
                 "td_levels": float(len(traces)),
                 "bu_levels": 0.0,

@@ -6,6 +6,10 @@ The shared :class:`~repro.core.substrate.Substrate` partitions the graph
 routes records; the driver adds the hub directory, validates the shuffle
 plan (SPM feasibility + deadlock-freedom) and the connection budget — then
 ``run(root)`` executes real level-synchronised message-driven traversals.
+A top-down level and each bottom-up sub-round are one
+:meth:`~repro.core.substrate.Substrate.exchange` round; the driver supplies
+only how a node builds its batch (:meth:`DistributedBFS._forward_batch`,
+:meth:`DistributedBFS._backward_batch`) and what a delivered batch does.
 
 Timing model recap: module executions and per-message MPE overheads are
 FIFO jobs on the node's servers; messages fly over the fat-tree link model;
@@ -39,6 +43,13 @@ from repro.durability.shards import make_checkpoint_store
 from repro.resilience.channel import ReliableChannel
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.config import ResilienceConfig
+
+
+#: Reliable-transport counters a resilient run reports for its own window.
+_RESILIENCE_KEYS = (
+    "retransmits", "acks", "gave_up", "dup_suppressed", "corrupt_detected",
+    "dead_letters",
+)
 
 
 @dataclass(frozen=True)
@@ -137,11 +148,9 @@ class DistributedBFS(Substrate):
             dests = max(self.groups.num_groups, self.groups.width)
             self.shuffle_plan = ShufflePlan.from_config(self.config, dests)
 
-        # --- runtime sanitizers (opt-in; repro.sanitizers.runtime) --------------
-        # ``spm_sanitizer`` (the substrate's SPM write-conflict detector) is
-        # installed after the reliable channel below via ``config.sanitize``,
-        # or post-construction by ``Graph500Runner(sanitize=True)``.
-        #: Message-mutated-after-send detector on the cluster's send core.
+        #: Message-mutated-after-send detector on the cluster's send core,
+        #: installed with the substrate's ``spm_sanitizer`` by
+        #: ``Graph500Runner(sanitize=True)`` (:mod:`repro.sanitizers.runtime`).
         self.message_sanitizer = None
         if self.config.track_connections:
             for i in range(nodes):
@@ -166,16 +175,6 @@ class DistributedBFS(Substrate):
         self.channel: ReliableChannel | None = None
         if self.resilience.reliable_transport:
             self.channel = ReliableChannel(self.cluster, self.resilience)
-        if self.config.sanitize:
-            # Above the channel's delivery hook, where the runner installs it
-            # too: every wire frame, acks included, is checked at delivery.
-            from repro.sanitizers.runtime import (
-                MessageSanitizer,
-                SpmWriteSanitizer,
-            )
-
-            self.spm_sanitizer = SpmWriteSanitizer()
-            self.message_sanitizer = MessageSanitizer(self.cluster)
         #: Buddy or erasure-coded store per ``resilience.checkpoint_mode``
         #: (built eagerly so an infeasible RS placement fails construction).
         self.checkpoints = make_checkpoint_store(
@@ -197,8 +196,6 @@ class DistributedBFS(Substrate):
         self._scrub_seconds = 0.0
         #: Per-node transfer size of the last save (what scrub repairs ship).
         self._save_bytes = 0
-        #: node id -> its termination-marker peers (column and group mates).
-        self._peers = [self.groups.peers(i) for i in range(nodes)]
 
         # --- observability -------------------------------------------------------
         # ``self.telemetry`` is set by ``Telemetry.attach_kernel`` (a disabled
@@ -313,19 +310,6 @@ class DistributedBFS(Substrate):
         hb, rb, ratio = cfg.header_bytes, cfg.record_bytes, cfg.compression_ratio
         return [hb + int((b - a) * rb / ratio) for a, b in zip(starts, stops)]
 
-    def _send_termination_markers(self, state: NodeState, t_ready: float) -> None:
-        """Per-level end-of-transmission indicators (Section 3.3: "at least
-        one message transfer... for each pair of nodes"), to the column and
-        group mates — the N+M-2 connection set, everyone under direct
-        routing's one group."""
-        peers = self._peers[state.node_id]
-        if peers:
-            n = len(peers)
-            self._inject(
-                state, peers, "eol", [self.config.header_bytes] * n, None,
-                [t_ready] * n,
-            )
-
     # -------------------------------------------------------------- collectives --
     def _allreduce_time(self) -> float:
         return allreduce_seconds(self.num_nodes, self.spec.taihulight)
@@ -353,70 +337,54 @@ class DistributedBFS(Substrate):
             self._mark(execution.finish)
             self._hub_settled += state.settle_from_hubs(slots, self.hubs.hub_ids)
 
-    def _run_topdown_level(self, t0: float) -> None:
-        for state in self.states:
-            if len(state.curr) == 0:
-                self._send_termination_markers(state, t0)
-                continue
-            frontier = state.curr
-            if self.hubs is not None:
-                # Frontier hubs are handled at the destination side by the
-                # hub-settle pass; drop their edges at the source.
-                frontier_global = state.to_global(frontier)
-                frontier = frontier[~self.hubs.is_hub(frontier_global)]
-            v_local, targets = state.graph.expand(frontier)
-            sources = state.to_global(v_local)
-            if self.hubs is not None and len(targets):
-                keep = ~self.hubs.hub_visited(targets)
-                sources, targets = sources[keep], targets[keep]
-            nbytes = max(len(targets), 1) * self.config.record_bytes
-            execution = state.pipeline.submit_module(t0, "forward_generator", nbytes)
-            self._mark(execution.finish)
-            if len(targets):
-                self.route(
-                    state, execution, "fwd", sources, targets, self.owner[targets]
-                )
-            self._send_termination_markers(state, execution.finish)
-        self.engine.run_until_quiescent()
+    def _forward_batch(self, state: NodeState):
+        """Top-down batch: a (parent, child) record along every edge of the
+        node's frontier, or None when its frontier is empty."""
+        frontier = state.curr
+        if len(frontier) == 0:
+            return None
+        hubs = self.hubs
+        if hubs is not None:
+            # Frontier hubs are handled at the destination side by the
+            # hub-settle pass; drop their edges at the source.
+            frontier = frontier[~hubs.is_hub(state.to_global(frontier))]
+        v_local, targets = state.graph.expand(frontier)
+        sources = state.to_global(v_local)
+        if hubs is not None and len(targets):
+            keep = ~hubs.hub_visited(targets)
+            sources, targets = sources[keep], targets[keep]
+        return sources, targets
+
+    def _backward_batch(self, state: NodeState):
+        """Bottom-up batch: (query, source) records for the next
+        ``bottomup_chunk`` untried neighbours of each unvisited vertex, or
+        None when there are none."""
+        u_targets, v_sources = state.bu_expand(self.config.bottomup_chunk)
+        if self.hubs is not None and len(u_targets):
+            keep = ~self.hubs.is_hub(u_targets)
+            u_targets, v_sources = u_targets[keep], v_sources[keep]
+        return (u_targets, v_sources) if len(u_targets) else None
 
     def _run_bottomup_level(self, t0: float) -> int:
         """Bottom-up with chunked neighbour queries; returns sub-round count.
 
         Each sub-round every still-unvisited vertex queries its next
         ``bottomup_chunk`` untried neighbours (early-termination emulation of
-        the paper's streaming Backward Generator).
+        the paper's streaming Backward Generator). Only the first sub-round
+        sends end-of-level markers.
         """
         subrounds = 0
         t_start = t0
         while subrounds < self.config.bottomup_max_subrounds:
             subrounds += 1
-            any_sent = False
-            for state in self.states:
-                u_targets, v_sources = state.bu_expand(self.config.bottomup_chunk)
-                if self.hubs is not None and len(u_targets):
-                    keep = ~self.hubs.is_hub(u_targets)
-                    u_targets, v_sources = u_targets[keep], v_sources[keep]
-                if len(u_targets) == 0:
-                    if subrounds == 1:
-                        self._send_termination_markers(state, t_start)
-                    continue
-                any_sent = True
-                nbytes = len(u_targets) * self.config.record_bytes
-                execution = state.pipeline.submit_module(
-                    t_start, "backward_generator", nbytes
-                )
-                self._mark(execution.finish)
-                self.route(
-                    state, execution, "bwd", u_targets, v_sources,
-                    self.owner[u_targets],
-                )
-                if subrounds == 1:
-                    self._send_termination_markers(state, execution.finish)
-            self.engine.run_until_quiescent()
+            sent = self.exchange(
+                t_start, "backward_generator", "bwd", self._backward_batch,
+                markers=subrounds == 1,
+            )
             # Ack/retransmit deliveries may outrun the marked compute times;
             # fold the drained clock in before scheduling the next sub-round.
             self._mark(self.engine.now)
-            if not any_sent:
+            if not sent:
                 break
             # Quick settled-check between sub-rounds: a small allreduce.
             t_start = self._t_max + self._allreduce_time()
@@ -571,15 +539,6 @@ class DistributedBFS(Substrate):
         owner_of_root = int(self.owner[root])
         self.states[owner_of_root].seed_root(root)
 
-        msgs_before = self.cluster.stats.value("messages")
-        bytes_before = self.cluster.stats.value("bytes")
-        resilience_keys = (
-            "retransmits", "acks", "gave_up", "dup_suppressed",
-            "corrupt_detected", "dead_letters",
-        )
-        resilience_before = {
-            k: self.cluster.stats.value(k) for k in resilience_keys
-        }
         t_run_start = self.begin_run()
         tel = self.telemetry
         root_span = -1
@@ -645,7 +604,10 @@ class DistributedBFS(Substrate):
                 self._hub_settle_pass(t0)
             subrounds = 1
             if direction is Direction.TOP_DOWN:
-                self._run_topdown_level(t0)
+                self.exchange(
+                    t0, "forward_generator", "fwd", self._forward_batch,
+                    markers=True,
+                )
             else:
                 subrounds = self._run_bottomup_level(t0)
 
@@ -710,8 +672,8 @@ class DistributedBFS(Substrate):
         sim_seconds = self._t_max - t_run_start
         stats = {
             "records_sent": float(self.records_sent),
-            "messages": self.cluster.stats.value("messages") - msgs_before,
-            "bytes": self.cluster.stats.value("bytes") - bytes_before,
+            "messages": self.run_count("messages"),
+            "bytes": self.run_count("bytes"),
             "hub_settled": float(self._hub_settled),
             "td_levels": float(
                 sum(1 for t in traces if t.direction == "topdown")
@@ -722,12 +684,7 @@ class DistributedBFS(Substrate):
         }
         store = self.checkpoints
         if self.channel is not None or store is not None:
-            stats.update(
-                {
-                    k: self.cluster.stats.value(k) - resilience_before[k]
-                    for k in resilience_keys
-                }
-            )
+            stats.update({k: self.run_count(k) for k in _RESILIENCE_KEYS})
             stats["recoveries"] = float(self._recoveries)
             stats["checkpoints"] = float(store.taken if store is not None else 0)
             stats["checkpoint_seconds"] = self._checkpoint_seconds

@@ -141,12 +141,6 @@ class BFSConfig:
     # -- safety valves ---------------------------------------------------------------
     max_levels: int = 10_000
     track_connections: bool = True
-    #: Enable the runtime sanitizers (:mod:`repro.sanitizers.runtime`):
-    #: SPM write-conflict detection on every shuffle and message-mutated-
-    #: after-send detection on the cluster. Costs time and memory on the
-    #: hot path, so off by default; ``repro graph500 --sanitize`` or
-    #: ``Graph500Runner(sanitize=True)`` flips it for a run.
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.beta <= 0:

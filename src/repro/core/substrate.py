@@ -1,14 +1,20 @@
 """The record path of the BFS driver, superstep engine and 2-D comparator.
 
-Section 8: BFS's core operation — shuffling dynamically generated records
-to their owners — is also that of SSSP, WCC, PageRank and k-core.
+Section 8: BFS's core operation — generating records and shuffling them to
+their owners — is also that of SSSP, WCC, PageRank and k-core.
 :class:`Substrate` is that operation, written once: the machine wiring
 (1-D partition and owner map, group layout, engine, SimMPI cluster, one
-:class:`~repro.core.pipeline.NodePipeline` per node), :meth:`route`
-(local, straight to the owner, or via the group relay, which forwards
-what it receives at once), :meth:`_send_buckets` (one message per first
-hop, pipelined against the producing module) and :meth:`begin_run` (where
-a run's window starts and what it counts).
+:class:`~repro.core.pipeline.NodePipeline` per node), :meth:`exchange`
+(one round: each node's generator module, its records routed, the
+end-of-level markers, the engine drained), :meth:`route` (local, straight
+to the owner, or via the group relay, which forwards what it receives at
+once), :meth:`_send_buckets` (one message per first hop, pipelined
+against the producing module) and :meth:`begin_run` (where a run's window
+starts; :meth:`run_count` reads how far a cluster counter moved in it).
+
+A BFS top-down level, each bottom-up sub-round and a superstep are all one
+:meth:`exchange`; they differ only in the generator module, the record
+kind and how a node's batch is built.
 
 The :class:`~repro.core.batching.GroupLayout` is the routing plan, and the
 constructor is the one reader of ``config.use_relay``: relay routing lays
@@ -20,7 +26,8 @@ Records travel as two parallel arrays ``(a, b)``; their kind picks the
 modules and the owner key (:data:`KINDS`), and the wire tag is the kind,
 or ``<kind>_relay`` for the hop to a relay. A subclass sets ``state_type``
 (built as ``state_type(node_id, lo, hi, row_slice, pipeline)``) and
-supplies :meth:`_apply`, :meth:`_message_bytes` and :meth:`_post`.
+supplies :meth:`_apply`; it may override :attr:`record_bytes`,
+:meth:`_message_bytes` and :meth:`_post`.
 """
 
 from __future__ import annotations
@@ -144,6 +151,12 @@ class Substrate:
         self.telemetry: Any = None
         self._t_max = 0.0
         self.records_sent = 0
+        #: Cluster counter values at the start of the current run window.
+        self._run_base: dict[str, float] = {}
+        #: node id -> its end-of-level marker peers, built at the first
+        #: marker (at 16,384 direct nodes the lists would not fit in memory,
+        #: and construction must reach the connection-budget check).
+        self._peers: list[list[int]] | None = None
 
     # --------------------------------------------------------- subclass hooks --
     def _apply(self, state, execution, kind: str, a, b) -> None:
@@ -151,8 +164,13 @@ class Substrate:
         handler module ``execution``."""
         raise NotImplementedError
 
+    @property
+    def record_bytes(self) -> int:
+        """Wire bytes per record; also sizes a generator module's input."""
+        return self.config.record_bytes
+
     def _message_bytes(self, n_records: int) -> int:
-        raise NotImplementedError
+        return self.config.header_bytes + n_records * self.record_bytes
 
     def _bucket_bytes(self, a, b, starts: list[int], stops: list[int]) -> list[int]:
         """Message size of each bucket ``[start, stop)``."""
@@ -160,7 +178,9 @@ class Substrate:
 
     def _post(self, src, dests, tag, nbytes, payloads, at_times) -> None:
         """Hand one node's messages to the fabric."""
-        raise NotImplementedError
+        self.cluster.send_batch(
+            src, dests, tag, nbytes, payloads=payloads, at_times=at_times
+        )
 
     # ------------------------------------------------------------- time marks --
     def begin_run(self) -> float:
@@ -170,11 +190,65 @@ class Substrate:
         t0 = max(self.engine.now, self._t_max)
         self._t_max = t0
         self.records_sent = 0
+        self._run_base = {
+            name: c.value for name, c in self.cluster.stats.counters.items()
+        }
         return t0
+
+    def run_count(self, name: str) -> float:
+        """How far the cluster counter ``name`` moved since :meth:`begin_run`."""
+        return self.cluster.stats.value(name) - self._run_base.get(name, 0.0)
 
     def _mark(self, t: float) -> None:
         if t > self._t_max:
             self._t_max = t
+
+    # ------------------------------------------------------------------ rounds --
+    def exchange(
+        self, t0: float, module: str, kind: str, batch_of, markers: bool = False
+    ) -> int:
+        """One round of the record path; returns how many records it routed.
+
+        Node by node, ``batch_of(state)`` builds that node's ``kind``
+        records ``(a, b)``, or returns None when it has none; the generator
+        ``module`` runs at ``t0`` on ``max(records, 1) * record_bytes`` and
+        the records are routed to their owners. With ``markers`` the node
+        then sends its end-of-level markers (at ``t0`` for a node with no
+        batch). The engine is drained once every node has sent."""
+        slot = KINDS[kind][2]
+        routed = 0
+        for state in self.states:
+            batch = batch_of(state)
+            t_sent = t0
+            if batch is not None:
+                a, b = batch
+                execution = state.pipeline.submit_module(
+                    t0, module, max(len(a), 1) * self.record_bytes
+                )
+                self._mark(execution.finish)
+                if len(a):
+                    dest = self.owner[b if slot else a]
+                    self.route(state, execution, kind, a, b, dest)
+                    routed += len(a)
+                t_sent = execution.finish
+            if markers:
+                self._send_markers(state, t_sent)
+        self.engine.run_until_quiescent()
+        return routed
+
+    def _send_markers(self, state, t_ready: float) -> None:
+        """End-of-level indicators (Section 3.3: "at least one message
+        transfer... for each pair of nodes") to the column and group mates:
+        the N+M-2 connection set, everyone in direct routing's one group."""
+        if self._peers is None:
+            self._peers = [self.groups.peers(i) for i in range(self.num_nodes)]
+        peers = self._peers[state.node_id]
+        if peers:
+            n = len(peers)
+            self._inject(
+                state, peers, "eol", [self.config.header_bytes] * n, None,
+                [t_ready] * n,
+            )
 
     # ------------------------------------------------------------ message I/O --
     def _make_handler(self, state):

@@ -236,10 +236,8 @@ class Graph500Runner:
                 SpmWriteSanitizer,
             )
 
-            if getattr(bfs, "spm_sanitizer", None) is None:
-                bfs.spm_sanitizer = SpmWriteSanitizer()
-            if getattr(bfs, "message_sanitizer", None) is None:
-                bfs.message_sanitizer = MessageSanitizer(bfs.cluster)
+            bfs.spm_sanitizer = SpmWriteSanitizer()
+            bfs.message_sanitizer = MessageSanitizer(bfs.cluster)
 
         report = BenchmarkReport(
             spec=self.spec,
@@ -297,13 +295,13 @@ class Graph500Runner:
         for key in _RESILIENCE_COUNTERS:
             if totals[key]:
                 report.extra[key] = totals[key]
-        msg_san = getattr(bfs, "message_sanitizer", None)
+        msg_san = bfs.message_sanitizer
         if msg_san is not None:
             report.extra["sanitizer_messages_checked"] = (
                 msg_san.messages_checked
             )
             report.extra["sanitizer_mutations"] = len(msg_san.violations)
-        spm_san = getattr(bfs, "spm_sanitizer", None)
+        spm_san = bfs.spm_sanitizer
         if spm_san is not None:
             report.extra["sanitizer_spm_phases"] = spm_san.phases_checked
             report.extra["sanitizer_spm_conflicts"] = len(spm_san.conflicts)

@@ -1,9 +1,9 @@
 """Opt-in runtime sanitizers for the simulated machine.
 
 Three detectors, all off by default (they cost time and memory on the hot
-path) and switched on per-run via ``BFSConfig.sanitize`` /
-``Graph500Runner(sanitize=True)`` / ``repro graph500 --sanitize`` or the
-``repro sanitize`` determinism command:
+path) and switched on per-run via ``Graph500Runner(sanitize=True)`` /
+``repro graph500 --sanitize`` or the ``repro sanitize`` determinism
+command:
 
 - :class:`SpmWriteSanitizer` — the contention claim at runtime: consumer
   CPEs must DMA-write disjoint per-destination regions within one module

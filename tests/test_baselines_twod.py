@@ -118,3 +118,25 @@ def test_twod_matches_reference_depths(scale, grid, seed):
     result = bfs.run(root)
     depth = validate_bfs_result(graph, edges, root, result.parent)
     assert np.array_equal(depth, reference_depths(graph, root))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda edges: DistributedBFS(edges, 4, config=CFG, nodes_per_super_node=2),
+        lambda edges: TwoDBFS(edges, 2, 2, config=CFG, nodes_per_super_node=2),
+    ],
+    ids=["1d", "2d"],
+)
+def test_second_run_of_a_root_reports_its_own_traffic(make):
+    """A run's window counts only its own records, messages and bytes, so
+    the same root twice on one instance reports the same figures."""
+    edges = KroneckerGenerator(scale=9, seed=3).generate()
+    bfs = make(edges)
+    root = int(np.flatnonzero(bfs.graph.degrees() > 0)[0])
+    first, second = bfs.run(root), bfs.run(root)
+    assert np.array_equal(first.parent, second.parent)
+    assert first.levels == second.levels
+    assert np.array_equal(first.depths(), second.depths())
+    for key in ("records_sent", "messages", "bytes"):
+        assert first.stats[key] == second.stats[key] > 0, key

@@ -402,12 +402,15 @@ def test_superstep_engine_relay_case_takes_the_relay_hop():
 
 # --- 2-D comparator golden digests --------------------------------------------
 #: (grid rows, grid cols, Kronecker scale) -> digest, recorded from the
-#: comparator that still wired its own engine, cluster and pipelines.
+#: comparator that still wired its own engine, cluster and pipelines. Re-
+#: recorded once when ``stats["messages"]``/``stats["bytes"]`` became the
+#: run's own (the second root had reported the cluster's running total);
+#: every other hashed field was unchanged by that.
 TWOD_GOLDEN = {
     (4, 4, 10):
-        "f9f13e0d1c7f7344500de89272dd6424e7038a86409dec677e6d8e1ee7d8a92d",
+        "6640f60c72e71db45e4dc1cae05ac31bf5129b71940621b58da9a583ecd5e1bc",
     (2, 8, 9):
-        "3cf9e13a9e0a4bbfae948c3cdb413b70f9926fa155da53ff43e87f816a9bf3a8",
+        "d345b699224cb2959486dfb77f72324fa6b22395d24b26a723359bd328518155",
 }
 
 
